@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the exact analyses.
 
 use rbs_bench::harness::Runner;
-use rbs_bench::{synthetic_set, synthetic_specs, table1};
+use rbs_bench::{fleet_set, synthetic_set, synthetic_specs, table1};
 use rbs_core::adb::hi_arrival_profile;
 use rbs_core::dbf::{hi_profile, total_dbf_hi};
 use rbs_core::demand::sup_ratio_many;
@@ -150,6 +150,19 @@ fn main() {
                 .expect("completes")
         });
     }
+
+    // Below-rate first fits on a 256-task fleet's arrival profile (rate
+    // ≈ 2.4, the daemon's delta-chain shape): both answers are `Never`,
+    // proved at the envelope-floor horizon instead of after a full
+    // hyperperiod of the period menu (~30k breakpoints).
+    let profile = hi_arrival_profile(&fleet_set(256, 2015));
+    runner.bench("first_fit/adb_below_rate/fleet_256", || {
+        for speed in [Rational::ONE, Rational::TWO] {
+            black_box(&profile)
+                .first_fit(speed, &limits)
+                .expect("completes");
+        }
+    });
 
     let set = table1();
     runner.bench("resetting_time/table1_s2", || {

@@ -73,8 +73,10 @@ pub struct WalkCounts {
     pub integer: u64,
     /// Queries that fell back to the exact rational walk.
     pub exact: u64,
-    /// Walks (of either kind) that terminated early because the
-    /// utilization-envelope bound could no longer beat the running best.
+    /// Walks (of either kind) that terminated early at a
+    /// utilization-envelope horizon: the ceiling could no longer beat
+    /// the running best (sup-ratio, fits), or the floor proved a
+    /// below-rate first fit `Never` before the hyperperiod did.
     /// Always `≤ integer + exact`.
     pub pruned: u64,
     /// Resetting-time queries answered from a cached [`ResetFrontier`]
@@ -438,8 +440,11 @@ impl<'a> Analysis<'a> {
     /// frontier `s ↦ Δ_R(s)` in one walk and caches it; later queries it
     /// covers are answered by threshold lookup with no walk at all
     /// (counted in [`WalkCounts::avoided`]). Speeds at or below the
-    /// arrival rate keep the plain walk: their fit can be `Never`, which
-    /// the frontier does not encode.
+    /// arrival rate take a plain first-fit walk instead: their fit can be
+    /// `Never`, which the frontier does not encode. Strictly below the
+    /// rate that walk ends at the envelope-floor horizon rather than a
+    /// full hyperperiod (see [`DemandProfile::first_fit_traced`]), and
+    /// counts in [`WalkCounts::pruned`] when the cut skipped work.
     ///
     /// # Errors
     ///

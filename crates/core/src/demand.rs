@@ -25,7 +25,9 @@
 //! `demand(Δ+P) = demand(Δ) + rate·P` — so no point beyond the first
 //! hyperperiod can improve on the points within it, and (b) once a ratio
 //! above the long-run rate is found, `demand(Δ) ≤ rate·Δ + burst` yields
-//! a horizon beyond which no improvement is possible.
+//! a horizon beyond which no improvement is possible. Mirrored below the
+//! rate, `demand(Δ) ≥ rate·Δ + floor` yields a horizon beyond which a
+//! slower supply can never catch up.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -195,6 +197,36 @@ impl PeriodicDemand {
         self.constant + Rational::ZERO.max(at_jump).max(at_ramp_end)
     }
 
+    /// The *tightest* constant `f` with `eval(Δ) ≥ rate()·Δ + f` for all
+    /// `Δ ≥ 0` — the lower mirror of [`PeriodicDemand::envelope_burst`]:
+    /// `constant + inf_u (r(u) − rate·u)`.
+    ///
+    /// The infimum of the periodic piecewise-linear `h(u) = r(u) −
+    /// rate·u` is approached at a segment end: just before the jump
+    /// (`u → ramp_start⁻`, value `−rate·ramp_start`) or just before the
+    /// period wraps (`u → period⁻`, value `jump + clipped − per_period`
+    /// with `clipped = min(period − ramp_start, ramp_len)`); every other
+    /// endpoint lies above one of these two. `None` when an intermediate
+    /// overflows `i128` (callers then forgo the bound).
+    pub(crate) fn envelope_floor(&self) -> Option<Rational> {
+        let rate = self.per_period.checked_div(self.period).ok()?;
+        let before_jump = Rational::ZERO
+            .checked_sub(rate.checked_mul(self.ramp_start).ok()?)
+            .ok()?;
+        let clipped = self
+            .period
+            .checked_sub(self.ramp_start)
+            .ok()?
+            .min(self.ramp_len);
+        let before_wrap = self
+            .jump
+            .checked_add(clipped)
+            .ok()?
+            .checked_sub(self.per_period)
+            .ok()?;
+        self.constant.checked_add(before_jump.min(before_wrap)).ok()
+    }
+
     /// All six quantities in declaration order (`period`, `per_period`,
     /// `constant`, `ramp_start`, `jump`, `ramp_len`) — for the integer
     /// rescaling in [`crate::scaled`].
@@ -340,9 +372,12 @@ pub enum WalkKind {
 pub struct WalkTrace {
     /// Which implementation produced the result.
     pub kind: WalkKind,
-    /// Whether the walk stopped at the envelope horizon with breakpoints
-    /// still pending below the hyperperiod bound — i.e. the
-    /// [`PeriodicDemand::envelope_burst`] pruning actually skipped work.
+    /// Whether a utilization-envelope horizon stopped the walk with
+    /// breakpoints still pending below the hyperperiod bound — i.e. the
+    /// pruning actually skipped work. Sup-ratio and fits walks prune at
+    /// the [`PeriodicDemand::envelope_burst`] ceiling; below-rate
+    /// first-fit walks at the envelope-floor horizon (see
+    /// [`DemandProfile::first_fit_traced`]).
     pub pruned: bool,
     /// Whether a chunked multi-profile lockstep driver
     /// ([`sup_ratio_many`]/[`fits_many`] or an internal batch prime)
@@ -401,6 +436,7 @@ struct Aggregates {
     rate: OnceLock<Rational>,
     burst: OnceLock<Rational>,
     envelope_burst: OnceLock<Rational>,
+    envelope_floor: OnceLock<Option<Rational>>,
     hyperperiod: OnceLock<Option<Rational>>,
 }
 
@@ -630,6 +666,36 @@ impl DemandProfile {
                 .map(PeriodicDemand::envelope_burst)
                 .sum()
         })
+    }
+
+    /// Total tight envelope floor (per-component infima of
+    /// `eval_i(Δ) − rate_i·Δ`, summed): `eval(Δ) ≥ rate()·Δ + floor` for
+    /// all `Δ ≥ 0`. `None` when the sum overflows `i128`. Only below-rate
+    /// first-fit walks consult it.
+    fn envelope_floor(&self) -> Option<Rational> {
+        *self.aggregates.envelope_floor.get_or_init(|| {
+            self.components.iter().try_fold(Rational::ZERO, |acc, c| {
+                acc.checked_add(c.envelope_floor()?).ok()
+            })
+        })
+    }
+
+    /// The envelope-floor horizon of a first-fit walk at `speed`, or
+    /// `None` when there is none (`speed ≥ rate()`, or an overflow).
+    ///
+    /// Below the rate, `eval(Δ) − speed·Δ ≥ (rate − speed)·Δ + floor`,
+    /// which is positive for every `Δ > H = max(0, −floor)/(rate −
+    /// speed)`: no fit can exist past `H`, so the walk may answer `Never`
+    /// there instead of running out a full hyperperiod. At `speed ==
+    /// rate` the gap no longer grows with `Δ`, so no horizon follows and
+    /// the hyperperiod stays the only stopping rule.
+    pub(crate) fn floor_horizon(&self, speed: Rational) -> Option<Rational> {
+        let rate = self.rate();
+        if speed >= rate {
+            return None;
+        }
+        let deficit = Rational::ZERO.max(Rational::ZERO.checked_sub(self.envelope_floor()?).ok()?);
+        deficit.checked_div(rate.checked_sub(speed).ok()?).ok()
     }
 
     /// Consumes the profile and returns its component vector — the
@@ -999,9 +1065,11 @@ impl DemandProfile {
             .map(|(result, _)| result)
     }
 
-    /// [`DemandProfile::first_fit`] plus how it was answered. A first-fit
-    /// walk stops at its answer, never at the envelope horizon, so the
-    /// trace's `pruned` flag is always `false` here.
+    /// [`DemandProfile::first_fit`] plus how it was answered. A walk at
+    /// or above the rate stops at its answer or the hyperperiod, never
+    /// early; a below-rate walk that the envelope-floor horizon ends
+    /// with `Never` before the hyperperiod bail-out would have fired
+    /// reports `pruned`.
     ///
     /// # Errors
     ///
@@ -1015,27 +1083,30 @@ impl DemandProfile {
             return Err(AnalysisError::NonPositiveSpeed);
         }
         if let Some(scaled) = &self.scaled {
-            if let Some(result) = scaled.first_fit(speed, limits)? {
+            if let Some((result, pruned)) =
+                scaled.first_fit(speed, self.floor_horizon(speed), limits)?
+            {
                 return Ok((
                     result,
                     WalkTrace {
                         kind: WalkKind::Integer,
-                        pruned: false,
+                        pruned,
                         lockstep: false,
                     },
                 ));
             }
         }
-        self.first_fit_exact(speed, limits).map(|result| {
-            (
-                result,
-                WalkTrace {
-                    kind: WalkKind::Rational,
-                    pruned: false,
-                    lockstep: false,
-                },
-            )
-        })
+        self.first_fit_exact_traced(speed, limits)
+            .map(|(result, pruned)| {
+                (
+                    result,
+                    WalkTrace {
+                        kind: WalkKind::Rational,
+                        pruned,
+                        lockstep: false,
+                    },
+                )
+            })
     }
 
     /// The exact rational reference implementation of
@@ -1050,15 +1121,27 @@ impl DemandProfile {
         speed: Rational,
         limits: &AnalysisLimits,
     ) -> Result<FirstFit, AnalysisError> {
+        self.first_fit_exact_traced(speed, limits)
+            .map(|(result, _)| result)
+    }
+
+    /// [`DemandProfile::first_fit_exact`] plus whether the envelope-floor
+    /// horizon cut the walk short of the hyperperiod.
+    pub(crate) fn first_fit_exact_traced(
+        &self,
+        speed: Rational,
+        limits: &AnalysisLimits,
+    ) -> Result<(FirstFit, bool), AnalysisError> {
         if !speed.is_positive() {
             return Err(AnalysisError::NonPositiveSpeed);
         }
         let mut walk = IncrementalWalk::new(&self.components, limits.max_breakpoints());
         if !walk.value.is_positive() {
-            return Ok(FirstFit::At(Rational::ZERO));
+            return Ok((FirstFit::At(Rational::ZERO), false));
         }
         let rate = self.rate();
         let hyperperiod = self.hyperperiod();
+        let floor_horizon = self.floor_horizon(speed);
 
         let mut examined = 0usize;
         loop {
@@ -1070,25 +1153,25 @@ impl DemandProfile {
                 .peek_next()
                 .expect("periodic curves have unbounded breakpoints");
             if value <= speed * segment_start {
-                return Ok(FirstFit::At(segment_start));
+                return Ok((FirstFit::At(segment_start), false));
             }
             let slope = Rational::integer(i128::from(walk.slope));
             if speed > slope {
                 // Solve value + slope·(Δ − start) = speed·Δ.
                 let crossing = (value - slope * segment_start) / (speed - slope);
                 if crossing < segment_end {
-                    return Ok(FirstFit::At(crossing));
+                    return Ok((FirstFit::At(crossing), false));
                 }
             }
             if speed <= rate {
-                if let Some(hp) = hyperperiod {
-                    if segment_start > hp {
-                        // Supply slope never exceeds the long-run demand
-                        // rate and one full hyperperiod showed no fit:
-                        // the gap can only grow (demand(Δ+P) − s(Δ+P) ≥
-                        // demand(Δ) − sΔ).
-                        return Ok(FirstFit::Never);
-                    }
+                // Supply slope never exceeds the long-run demand rate and
+                // one full hyperperiod showed no fit: the gap can only
+                // grow (demand(Δ+P) − s(Δ+P) ≥ demand(Δ) − sΔ). Strictly
+                // below the rate, the gap is provably positive past the
+                // envelope-floor horizon, which usually comes far sooner.
+                let past_hyperperiod = hyperperiod.is_some_and(|hp| segment_start > hp);
+                if past_hyperperiod || floor_horizon.is_some_and(|h| segment_start > h) {
+                    return Ok((FirstFit::Never, !past_hyperperiod));
                 }
             }
             walk.advance();
@@ -1099,12 +1182,16 @@ impl DemandProfile {
     /// — in a single breakpoint walk, stopping as soon as `min_speed`
     /// itself is served.
     ///
-    /// The walk examines exactly the segments a plain
-    /// [`DemandProfile::first_fit`] at `min_speed` would (same breakpoint
-    /// budget consumption, same errors), but records every segment that
-    /// lowers a serving threshold, so [`ResetFrontier::lookup`] afterwards
-    /// answers *any* speed at or above `min_speed` — and often many below
-    /// it — without walking again.
+    /// For `min_speed` at or above the rate the walk examines exactly the
+    /// segments a plain [`DemandProfile::first_fit`] at `min_speed` would
+    /// (same breakpoint budget consumption, same errors), but records
+    /// every segment that lowers a serving threshold, so
+    /// [`ResetFrontier::lookup`] afterwards answers *any* speed at or
+    /// above `min_speed` — and often many below it — without walking
+    /// again. Below the rate it runs out the full hyperperiod: the
+    /// first-fit walk's envelope-floor cut at `min_speed` would truncate
+    /// the staircase of faster speeds still below the rate, whose own
+    /// horizons lie further out.
     ///
     /// The returned [`WalkKind`] reports whether the integer fast path
     /// built it.
@@ -1178,9 +1265,11 @@ impl DemandProfile {
             if min_speed <= rate {
                 if let Some(hp) = hyperperiod {
                     if segment_start > hp {
-                        // Mirrors first_fit's Never bail-out: min_speed is
-                        // unserved after a full hyperperiod and can never
-                        // be; the staircase above it is complete.
+                        // Mirrors first_fit's hyperperiod bail-out:
+                        // min_speed is unserved after a full hyperperiod
+                        // and can never be; the staircase above it is
+                        // complete. (Not its envelope-floor cut — see
+                        // `reset_frontier`.)
                         break;
                     }
                 }
@@ -2702,5 +2791,280 @@ mod walk_equivalence_properties {
                 "small-grid profiles must take the fast path"
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod floor_cut_properties {
+    use super::*;
+    use rbs_rng::Rng;
+
+    const CASES: usize = 192;
+
+    fn int(v: i128) -> Rational {
+        Rational::integer(v)
+    }
+
+    /// The first-fit walk as it stood before the envelope-floor cut: it
+    /// answers `Never` only once a full hyperperiod has passed at a speed
+    /// at or below the rate. The oracle the cut walks are checked against.
+    fn first_fit_hyperperiod_only(
+        profile: &DemandProfile,
+        speed: Rational,
+        limits: &AnalysisLimits,
+    ) -> Result<FirstFit, AnalysisError> {
+        let mut walk = IncrementalWalk::new(profile.components(), limits.max_breakpoints());
+        if !walk.value.is_positive() {
+            return Ok(FirstFit::At(Rational::ZERO));
+        }
+        let rate = profile.rate();
+        let hyperperiod = profile.hyperperiod();
+        let mut examined = 0usize;
+        loop {
+            examined += 1;
+            limits.check_walk(examined)?;
+            let segment_start = walk.delta;
+            let value = walk.value;
+            let segment_end = walk.peek_next().expect("unbounded breakpoints");
+            if value <= speed * segment_start {
+                return Ok(FirstFit::At(segment_start));
+            }
+            let slope = Rational::integer(i128::from(walk.slope));
+            if speed > slope {
+                let crossing = (value - slope * segment_start) / (speed - slope);
+                if crossing < segment_end {
+                    return Ok(FirstFit::At(crossing));
+                }
+            }
+            if speed <= rate && hyperperiod.is_some_and(|hp| segment_start > hp) {
+                return Ok(FirstFit::Never);
+            }
+            walk.advance();
+        }
+    }
+
+    /// Constants, jumps, ramps (clipped or not, immediate or offset) and
+    /// implicit steps, on a small integer timebase.
+    fn arb_component(rng: &mut Rng) -> PeriodicDemand {
+        let period = rng.gen_range_i128(1, 12);
+        if rng.gen_range_usize(0, 4) == 0 {
+            return PeriodicDemand::step(int(period), int(period), int(rng.gen_range_i128(1, 6)));
+        }
+        let ramp_start = rng.gen_range_i128(0, 11).min(period - 1);
+        let jump = rng.gen_range_i128(0, 6);
+        let ramp_len = rng.gen_range_i128(0, 12);
+        let extra = rng.gen_range_i128(0, 4);
+        PeriodicDemand::new(
+            int(period),
+            int(jump + ramp_len + extra),
+            int(rng.gen_range_i128(0, 6)),
+            int(ramp_start),
+            int(jump),
+            int(ramp_len),
+        )
+    }
+
+    fn arb_profile(rng: &mut Rng) -> DemandProfile {
+        let len = rng.gen_range_usize(1, 5);
+        DemandProfile::new((0..len).map(|_| arb_component(rng)).collect())
+    }
+
+    #[test]
+    fn envelope_floor_is_a_tight_lower_bound() {
+        let mut rng = Rng::seed_from_u64(0xf100_0001);
+        for case in 0..CASES {
+            let c = arb_component(&mut rng);
+            let floor = c.envelope_floor().expect("small inputs never overflow");
+            let rate = c.rate();
+            let step = Rational::new(1, 64);
+            let mut lowest: Option<Rational> = None;
+            for i in 0..(64 * 3 * 12) {
+                let delta = step * int(i);
+                let gap = c.eval(delta) - rate * delta;
+                assert!(gap >= floor, "case {case}: {gap} < {floor} at Δ={delta}");
+                lowest = Some(lowest.map_or(gap, |l| l.min(gap)));
+            }
+            // The infimum is a left limit at a grid point, so the scan
+            // comes within one step's worth of rate of it.
+            let lowest = lowest.expect("scanned");
+            assert!(
+                lowest - floor <= rate * step,
+                "case {case}: floor {floor} not tight ({lowest})"
+            );
+        }
+    }
+
+    #[test]
+    fn cut_walks_match_the_hyperperiod_only_reference() {
+        let mut rng = Rng::seed_from_u64(0xf100_0002);
+        let limits = AnalysisLimits::default();
+        let (mut pruned, mut late_fits) = (0usize, 0usize);
+        for case in 0..CASES {
+            let profile = arb_profile(&mut rng);
+            let rate = profile.rate();
+            // k/8 of the rate — below it, at it, and above it — plus the
+            // ratio `eval(Δ)/Δ` at each early breakpoint: a below-rate
+            // speed served there fits late, near the horizon, where a
+            // cut that came too soon would answer `Never`.
+            let mut speeds: Vec<Rational> = [1, 3, 5, 7, 8, 9, 12]
+                .iter()
+                .map(|&k| rate * Rational::new(k, 8))
+                .collect();
+            let mut walk = IncrementalWalk::new(profile.components(), 64);
+            for _ in 0..48 {
+                walk.advance();
+                speeds.push(walk.value / walk.delta);
+            }
+            for speed in speeds.into_iter().filter(Rational::is_positive) {
+                let reference = first_fit_hyperperiod_only(&profile, speed, &limits);
+                let (fit, trace) = profile
+                    .first_fit_traced(speed, &limits)
+                    .expect("walk completes");
+                assert_eq!(Ok(fit), reference, "case {case} at speed {speed}");
+                assert_eq!(
+                    profile.first_fit_exact(speed, &limits),
+                    reference,
+                    "case {case} at speed {speed} (exact)"
+                );
+                assert!(!trace.pruned || (speed < rate && fit == FirstFit::Never));
+                pruned += usize::from(trace.pruned);
+                if let (Some(h), FirstFit::At(at)) = (profile.floor_horizon(speed), fit) {
+                    late_fits += usize::from(at + at > h);
+                }
+            }
+        }
+        assert!(pruned > 0, "the floor cut never fired");
+        assert!(
+            late_fits > 0,
+            "no below-rate fit landed past half its horizon"
+        );
+    }
+
+    #[test]
+    fn a_late_below_rate_fit_is_found_before_the_horizon() {
+        // A burst of 20 with the next 100 of demand due at Δ = 50 (rate
+        // 1), plus a fine unit-period trickle (rate 1/100) that puts a
+        // breakpoint at every integer. At s = 1/2 supply overtakes the
+        // burst near Δ = 40.4, past half of the horizon 30/(101/100 −
+        // 1/2) ≈ 58.8 — a cut any earlier than `H` would say `Never`.
+        let profile = DemandProfile::new(vec![
+            PeriodicDemand::new(int(100), int(100), int(20), int(50), int(100), int(0)),
+            PeriodicDemand::step(int(1), int(1), Rational::new(1, 100)),
+        ]);
+        let speed = Rational::new(1, 2);
+        let limits = AnalysisLimits::default();
+        let horizon = profile.floor_horizon(speed).expect("below the rate");
+        let reference = first_fit_hyperperiod_only(&profile, speed, &limits);
+        let Ok(FirstFit::At(at)) = reference else {
+            panic!("the reference fits: {reference:?}");
+        };
+        assert!(
+            at + at > horizon && at < horizon,
+            "fit {at}, horizon {horizon}"
+        );
+        let (fit, trace) = profile.first_fit_traced(speed, &limits).expect("completes");
+        assert_eq!((fit, trace.pruned), (FirstFit::At(at), false));
+        assert_eq!(profile.first_fit_exact(speed, &limits), reference);
+    }
+
+    #[test]
+    fn the_cut_keeps_errors_at_and_above_the_rate() {
+        // Without a cut the walks must consume exactly the reference's
+        // budget, error payloads included.
+        let mut rng = Rng::seed_from_u64(0xf100_0003);
+        for case in 0..CASES {
+            let profile = arb_profile(&mut rng);
+            let limits = AnalysisLimits::new(rng.gen_range_usize(1, 12));
+            for k in [8, 9, 12] {
+                let speed = profile.rate() * Rational::new(k, 8);
+                if !speed.is_positive() {
+                    continue;
+                }
+                let reference = first_fit_hyperperiod_only(&profile, speed, &limits);
+                assert_eq!(profile.first_fit(speed, &limits), reference, "case {case}");
+                assert_eq!(
+                    profile.first_fit_exact(speed, &limits),
+                    reference,
+                    "case {case}"
+                );
+            }
+        }
+    }
+
+    /// Pairwise-coprime periods whose lcm (≈ 1.3·10^39) overflows `i128`:
+    /// no hyperperiod exists to stop a below-rate walk. Each component
+    /// steps by half its period at mid-period on top of `constant`.
+    fn overflowing_hyperperiod_profile(constant_eighths: i128) -> DemandProfile {
+        let periods = [1i128 << 43, 3i128.pow(27), 5i128.pow(19)];
+        DemandProfile::new(
+            periods
+                .iter()
+                .map(|&t| {
+                    let half = Rational::new(t, 2);
+                    PeriodicDemand::new(
+                        int(t),
+                        half,
+                        Rational::new(t * constant_eighths, 8),
+                        half,
+                        half,
+                        int(0),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn the_cut_answers_below_rate_walks_without_a_hyperperiod() {
+        let limits = AnalysisLimits::new(2_000);
+        // Rate 3/2; floor −Σt/8 < 0, so the horizon lies past Δ = 0.
+        let profile = overflowing_hyperperiod_profile(1);
+        assert_eq!(profile.hyperperiod(), None);
+        assert_eq!(profile.rate(), Rational::new(3, 2));
+        let speed = Rational::ONE;
+        let horizon = profile.floor_horizon(speed).expect("below the rate");
+        assert!(horizon.is_positive());
+        // The reference can only run out its budget, having walked well
+        // past the horizon without a fit — so `Never` is the truth.
+        assert!(matches!(
+            first_fit_hyperperiod_only(&profile, speed, &limits),
+            Err(AnalysisError::BreakpointBudgetExhausted { .. })
+        ));
+        let mut walk = IncrementalWalk::new(profile.components(), limits.max_breakpoints());
+        for _ in 0..limits.max_breakpoints() {
+            walk.advance();
+        }
+        assert!(walk.delta > horizon);
+        let (fit, trace) = profile
+            .first_fit_traced(speed, &limits)
+            .expect("cut answers");
+        assert_eq!(fit, FirstFit::Never);
+        assert_eq!(trace.kind, WalkKind::Integer);
+        assert!(trace.pruned);
+        assert_eq!(profile.first_fit_exact(speed, &limits), Ok(FirstFit::Never));
+
+        // A positive floor (constant above the deficit) puts the horizon
+        // at 0: the walk answers on its second segment.
+        let surplus = overflowing_hyperperiod_profile(8);
+        assert_eq!(surplus.floor_horizon(speed), Some(Rational::ZERO));
+        assert_eq!(
+            surplus.first_fit(speed, &AnalysisLimits::new(2)),
+            Ok(FirstFit::Never)
+        );
+        assert_eq!(
+            surplus.first_fit_exact(speed, &AnalysisLimits::new(2)),
+            Ok(FirstFit::Never)
+        );
+
+        // At the rate there is no horizon: both walks still exhaust the
+        // budget exactly as the reference does.
+        let at_rate = surplus.rate();
+        let reference = first_fit_hyperperiod_only(&surplus, at_rate, &limits);
+        assert!(matches!(
+            reference,
+            Err(AnalysisError::BreakpointBudgetExhausted { .. })
+        ));
+        assert_eq!(surplus.first_fit(at_rate, &limits), reference);
+        assert_eq!(surplus.first_fit_exact(at_rate, &limits), reference);
     }
 }

@@ -1146,7 +1146,10 @@ impl ScaledProfile {
         }
     }
 
-    /// Integer fast path of [`crate::demand::DemandProfile::first_fit`].
+    /// Integer fast path of [`crate::demand::DemandProfile::first_fit`],
+    /// returning the result plus whether the envelope-floor horizon
+    /// `floor_horizon` (the exact walk's, passed in so every lane cuts at
+    /// the same segment) ended the walk before the hyperperiod would.
     ///
     /// The caller must have rejected non-positive speeds already.
     ///
@@ -1156,15 +1159,23 @@ impl ScaledProfile {
     pub(crate) fn first_fit(
         &self,
         speed: Rational,
+        floor_horizon: Option<Rational>,
         limits: &AnalysisLimits,
-    ) -> Result<Option<FirstFit>, AnalysisError> {
+    ) -> Result<Option<(FirstFit, bool)>, AnalysisError> {
         if let Some((s_num, s_den)) = narrow_speed(speed) {
             if let Some(walk) = self.seed_narrow(limits) {
-                return self.first_fit_walk(walk, s_num, s_den, speed, limits);
+                return self.first_fit_walk(walk, s_num, s_den, speed, floor_horizon, limits);
             }
         }
         let walk = ck!(KernelWalk::<i128>::seed(&self.components));
-        self.first_fit_walk(walk, speed.numer(), speed.denom(), speed, limits)
+        self.first_fit_walk(
+            walk,
+            speed.numer(),
+            speed.denom(),
+            speed,
+            floor_horizon,
+            limits,
+        )
     }
 
     /// The width-generic body of [`ScaledProfile::first_fit`].
@@ -1174,14 +1185,21 @@ impl ScaledProfile {
         s_num: L,
         s_den: L,
         speed: Rational,
+        floor_horizon: Option<Rational>,
         limits: &AnalysisLimits,
-    ) -> Result<Option<FirstFit>, AnalysisError> {
+    ) -> Result<Option<(FirstFit, bool)>, AnalysisError> {
         if walk.value <= L::default() {
-            return Ok(Some(FirstFit::At(Rational::ZERO)));
+            return Ok(Some((FirstFit::At(Rational::ZERO), false)));
         }
-        // Loop-invariant parts of the hyperperiod "Never" bail-out.
+        // Loop-invariant parts of the "Never" bail-outs. `start > H ⟺
+        // start' > ⌊H·K⌋` on the integer grid; an overflowing `⌊H·K⌋`
+        // bails to the exact walk, like the fits horizon does.
         let rate_dominates = speed <= self.rate;
         let hyperperiod = self.hyperperiod.map(clamp_threshold::<L>);
+        let floor_horizon = match floor_horizon {
+            Some(h) => Some(clamp_threshold::<L>(ck!(scale_floor(h, self.scale)))),
+            None => None,
+        };
         let mut examined = 0usize;
         loop {
             examined += 1;
@@ -1193,10 +1211,10 @@ impl ScaledProfile {
                 .expect("periodic curves have unbounded breakpoints");
             // v ≤ s·Δ ⟺ v'·s_den ≤ s_num·Δ'.
             if ck!(value.mul_widen(s_den)) <= ck!(s_num.mul_widen(segment_start)) {
-                return Ok(Some(FirstFit::At(Rational::new(
-                    segment_start.widen(),
-                    self.scale,
-                ))));
+                return Ok(Some((
+                    FirstFit::At(Rational::new(segment_start.widen(), self.scale)),
+                    false,
+                )));
             }
             let slope = walk.slope;
             let slope_s_den = ck!(L::slope_mul(slope, s_den));
@@ -1210,17 +1228,16 @@ impl ScaledProfile {
                 let den = ck!(s_num.sub_check(slope_s_den));
                 // crossing < end ⟺ num < end'·den.
                 if num < ck!(segment_end.mul_widen(den)) {
-                    return Ok(Some(FirstFit::At(Rational::new(
-                        num,
-                        ck!(den.mul_i128(self.scale)),
-                    ))));
+                    return Ok(Some((
+                        FirstFit::At(Rational::new(num, ck!(den.mul_i128(self.scale)))),
+                        false,
+                    )));
                 }
             }
             if rate_dominates {
-                if let Some(hp) = hyperperiod {
-                    if segment_start > hp {
-                        return Ok(Some(FirstFit::Never));
-                    }
+                let past_hyperperiod = hyperperiod.is_some_and(|hp| segment_start > hp);
+                if past_hyperperiod || floor_horizon.is_some_and(|h| segment_start > h) {
+                    return Ok(Some((FirstFit::Never, !past_hyperperiod)));
                 }
             }
             ck!(walk.advance());
@@ -1891,6 +1908,51 @@ mod tests {
             (MachineStep::Done(n), MachineStep::Done(w)) => assert_eq!(n, w),
             _ => panic!("both widths complete"),
         }
+    }
+
+    #[test]
+    fn narrow_and_wide_first_fit_cut_at_the_same_segment() {
+        // Positive at zero and dense enough that the envelope-floor
+        // horizon falls well inside the hyperperiod (lcm 210).
+        let comps = vec![
+            PeriodicDemand::new(int(6), int(5), int(1), int(4), int(1), int(4)),
+            PeriodicDemand::step(int(5), int(3), int(2)),
+            PeriodicDemand::new(rat(7, 2), int(3), int(0), int(0), int(1), int(2)),
+            PeriodicDemand::new(int(10), int(4), int(3), int(5), int(4), int(0)),
+        ];
+        let profile = DemandProfile::new(comps.clone());
+        let scaled = ScaledProfile::build(&comps).expect("fits");
+        let rate = profile.rate();
+        let mut pruned = 0;
+        for budget in [1, 2, 3, 5, 8, 13, 21, 1_000] {
+            let limits = AnalysisLimits::new(budget);
+            for k in [1, 2, 4, 6, 7, 8] {
+                let speed = rate * rat(k, 8);
+                let horizon = profile.floor_horizon(speed);
+                let (s_num, s_den) = narrow_speed(speed).expect("small speed");
+                let narrow_walk = scaled.seed_narrow(&limits).expect("narrow proof holds");
+                let narrow =
+                    scaled.first_fit_walk(narrow_walk, s_num, s_den, speed, horizon, &limits);
+                let wide_walk = KernelWalk::<i128>::seed(&scaled.components).expect("fits");
+                let wide = scaled.first_fit_walk(
+                    wide_walk,
+                    speed.numer(),
+                    speed.denom(),
+                    speed,
+                    horizon,
+                    &limits,
+                );
+                assert_eq!(narrow, wide, "budget {budget} at {k}/8 of the rate");
+                let exact = profile.first_fit_exact_traced(speed, &limits);
+                assert_eq!(
+                    narrow.map(|done| done.expect("no overflow")),
+                    exact,
+                    "budget {budget} at {k}/8 of the rate"
+                );
+                pruned += usize::from(matches!(exact, Ok((_, true))));
+            }
+        }
+        assert!(pruned > 0, "the floor cut never fired");
     }
 
     #[test]

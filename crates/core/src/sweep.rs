@@ -611,7 +611,9 @@ impl SweepAnalysis {
     /// grid point, with the same frontier reuse as
     /// [`crate::analysis::Analysis::resetting_time`]: the first
     /// above-rate query per grid point builds the full staircase, later
-    /// covered speeds answer by lookup without walking.
+    /// covered speeds answer by lookup without walking. Below-rate
+    /// speeds take the plain first-fit walk, ended early (and counted as
+    /// pruned) at the envelope-floor horizon.
     ///
     /// # Errors
     ///

@@ -5,7 +5,9 @@
 //! same overflow-fallback boundaries — and with the plain exact rational
 //! walks underneath.
 
-use rbs_core::demand::{fits_many, sup_ratio_many, DemandProfile, PeriodicDemand, WalkKind};
+use rbs_core::demand::{
+    fits_many, sup_ratio_many, DemandProfile, FirstFit, PeriodicDemand, WalkKind,
+};
 use rbs_core::{AnalysisError, AnalysisLimits};
 use rbs_rng::Rng;
 use rbs_timebase::Rational;
@@ -254,4 +256,114 @@ fn non_positive_speeds_error_per_slot_in_fits_many() {
     }
     assert!(matches!(batched[1], Err(AnalysisError::NonPositiveSpeed)));
     assert!(matches!(batched[2], Err(AnalysisError::NonPositiveSpeed)));
+}
+
+/// The six raw quantities of one arbitrary component (same shapes as
+/// [`arb_component`]), so the test can build it at two time scales.
+fn arb_raw(rng: &mut Rng) -> [Rational; 6] {
+    let period = rat(rng.gen_range_i128(1, 12), arb_den(rng));
+    let ramp_start = period * rat(rng.gen_range_i128(0, 3), 4);
+    let jump = rat(rng.gen_range_i128(0, 5), arb_den(rng));
+    let ramp_len = rat(rng.gen_range_i128(0, 11), arb_den(rng));
+    let extra = rat(rng.gen_range_i128(0, 3), arb_den(rng));
+    let constant = rat(rng.gen_range_i128(0, 4), arb_den(rng));
+    [
+        period,
+        jump + ramp_len + extra,
+        constant,
+        ramp_start,
+        jump,
+        ramp_len,
+    ]
+}
+
+/// The profile with every time and demand quantity multiplied by
+/// `factor`: `eval'(factor·Δ) = factor·eval(Δ)`, so first fits scale by
+/// `factor` and the walks visit the same breakpoints in the same order.
+fn profile_at_scale(raws: &[[Rational; 6]], factor: Rational) -> DemandProfile {
+    DemandProfile::new(
+        raws.iter()
+            .map(
+                |&[period, per_period, constant, ramp_start, jump, ramp_len]| {
+                    PeriodicDemand::new(
+                        period * factor,
+                        per_period * factor,
+                        constant * factor,
+                        ramp_start * factor,
+                        jump * factor,
+                        ramp_len * factor,
+                    )
+                },
+            )
+            .collect(),
+    )
+}
+
+/// `speed` nudged down by one part in 2^33: the odd factor `2^33 − 1`
+/// survives reduction in the numerator, which then exceeds `u32::MAX`,
+/// so the query can only run on the wide lane.
+fn wide_only(speed: Rational) -> Rational {
+    speed * rat((1 << 33) - 1, 1 << 33)
+}
+
+#[test]
+fn below_rate_first_fits_agree_across_narrow_wide_and_exact() {
+    // Every query below the rate must cut at the same segment on every
+    // lane: equal results, equal pruned flags, and equal budget errors —
+    // sweeping the budget, the `examined` payloads pin the cut segment.
+    // Small grids and small speeds take the narrow lane; the same
+    // profile at a `wide_only` speed takes the wide lane; and the
+    // profile stretched by 2^55 takes the wide lane at any speed, its
+    // periods times the default budget exceeding i64::MAX/4 (while the
+    // build's envelope products still fit i128).
+    let stretch = int(1i128 << 55);
+    let mut rng = Rng::seed_from_u64(0xba7c_0008);
+    let (mut pruned, mut exhausted) = (0usize, 0usize);
+    for case in 0..CASES {
+        let raws: Vec<[Rational; 6]> = (0..rng.gen_range_usize(1, 5))
+            .map(|_| arb_raw(&mut rng))
+            .collect();
+        let profile = profile_at_scale(&raws, Rational::ONE);
+        let stretched = profile_at_scale(&raws, stretch);
+        for k in [1, 3, 5, 7, 8] {
+            let base = profile.rate() * rat(k, 8);
+            if !base.is_positive() {
+                continue;
+            }
+            for speed in [base, wide_only(base)] {
+                for budget in [1, 2, 3, 5, 8, 13, 21, 34] {
+                    let limits = AnalysisLimits::new(budget);
+                    let exact = profile.first_fit_exact(speed, &limits);
+                    exhausted += usize::from(exact.is_err());
+                    assert_eq!(
+                        profile.first_fit(speed, &limits),
+                        exact,
+                        "case {case} at {speed} under budget {budget}"
+                    );
+                }
+                let limits = AnalysisLimits::default();
+                let (fit, trace) = profile
+                    .first_fit_traced(speed, &limits)
+                    .expect("walk completes");
+                assert_eq!(trace.kind, WalkKind::Integer, "case {case}");
+                assert_eq!(Ok(fit), profile.first_fit_exact(speed, &limits));
+                pruned += usize::from(trace.pruned);
+            }
+            let limits = AnalysisLimits::default();
+            let (fit, trace) = profile.first_fit_traced(base, &limits).expect("completes");
+            let (far_fit, far_trace) = stretched
+                .first_fit_traced(base, &limits)
+                .expect("completes");
+            let expected = match fit {
+                FirstFit::At(delta) => FirstFit::At(delta * stretch),
+                FirstFit::Never => FirstFit::Never,
+            };
+            assert_eq!(far_fit, expected, "case {case} at {k}/8 of the rate");
+            assert_eq!(far_trace.kind, WalkKind::Integer, "case {case}");
+            assert_eq!(far_trace.pruned, trace.pruned, "case {case}");
+            assert_eq!(stretched.first_fit_exact(base, &limits), Ok(expected));
+        }
+    }
+    assert!(pruned > 0, "the floor cut never fired");
+    assert!(exhausted > 0, "no budget cut a walk short");
 }

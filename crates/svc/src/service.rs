@@ -203,6 +203,14 @@ impl Default for ServiceConfig {
 #[derive(Debug, Clone)]
 pub struct Service {
     pool: WorkerPool,
+    /// Rendered reports by canonical form. Workers hand back each report
+    /// as a plain `String`; the thread calling
+    /// [`Service::process_batch`] — the long-lived dispatcher in the
+    /// daemons — copies it into the `Arc<str>` this cache holds. Cached
+    /// report memory is therefore allocated by the dispatcher, not by
+    /// the per-batch scoped workers, whose short-lived allocator arenas
+    /// would otherwise stay pinned (and fragmented) by a few long-lived
+    /// reports each.
     cache: ResultCache,
     negative: ResultCache<SvcError>,
     config: ServiceConfig,
@@ -229,12 +237,15 @@ pub struct Service {
 /// where recency under parallel batches is not.
 #[derive(Debug, Default)]
 struct BaseRegistry {
-    map: HashMap<String, Arc<TaskSet>>,
-    order: VecDeque<String>,
+    map: HashMap<u64, Arc<TaskSet>>,
+    order: VecDeque<u64>,
 }
 
 impl BaseRegistry {
-    fn insert(&mut self, capacity: usize, hash: String, set: &Arc<TaskSet>) {
+    /// Binds `hash → make()` unless `hash` is already bound; `make` (the
+    /// set clone) runs only on an actual insert, so re-registering a
+    /// known set — every cache hit does — costs one map probe.
+    fn insert_with(&mut self, capacity: usize, hash: u64, make: impl FnOnce() -> Arc<TaskSet>) {
         if capacity == 0 || self.map.contains_key(&hash) {
             return;
         }
@@ -243,12 +254,19 @@ impl BaseRegistry {
                 self.map.remove(&oldest);
             }
         }
-        self.order.push_back(hash.clone());
-        self.map.insert(hash, Arc::clone(set));
+        self.order.push_back(hash);
+        self.map.insert(hash, make());
     }
 
-    fn get(&self, hash: &str) -> Option<Arc<TaskSet>> {
-        self.map.get(hash).cloned()
+    /// Resolves a wire key: exactly the 16 lowercase hex digits a
+    /// response's `hash` field carries (the [`CanonicalTaskSet`] display
+    /// form), so no other spelling of the same number resolves.
+    fn get(&self, key: &str) -> Option<Arc<TaskSet>> {
+        if key.len() != 16 || !key.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+            return None;
+        }
+        let hash = u64::from_str_radix(key, 16).ok()?;
+        self.map.get(&hash).cloned()
     }
 }
 
@@ -676,17 +694,18 @@ impl Service {
         }
     }
 
-    /// Binds `canonical → set` in the base registry (no-op when the
-    /// registry is disabled or the poisoned-lock case ever occurs).
-    fn register_base(&self, canonical: &CanonicalTaskSet, set: &Arc<TaskSet>) {
+    /// Binds `canonical → make()` in the base registry unless the key is
+    /// already bound (no-op when the registry is disabled or the
+    /// poisoned-lock case ever occurs). `make` runs only on insert.
+    fn register_base(&self, canonical: &CanonicalTaskSet, make: impl FnOnce() -> Arc<TaskSet>) {
         if self.config.base_registry_capacity == 0 {
             return;
         }
         if let Ok(mut bases) = self.bases.lock() {
-            bases.insert(
+            bases.insert_with(
                 self.config.base_registry_capacity,
-                canonical.to_string(),
-                set,
+                canonical.content_hash(),
+                make,
             );
         }
     }
@@ -762,8 +781,8 @@ impl Service {
         let canonicals: Vec<CanonicalTaskSet> =
             pending.iter().map(|job| job.canonical.clone()).collect();
         let config = self.config;
-        type JobResult = (Result<(Arc<str>, AnalyzeMeta), SvcError>, u64);
-        let results: Vec<JobResult> = self
+        type JobResult<R> = (Result<(R, AnalyzeMeta), SvcError>, u64);
+        let results: Vec<JobResult<String>> = self
             .pool
             .run_ordered_scoped_caught(
                 pending,
@@ -781,9 +800,7 @@ impl Service {
                                 inject_faults(&set);
                             }
                             analyze_with_meta_in(set, &limits, scratch)
-                                .map(|(report, meta)| {
-                                    (Arc::<str>::from(rbs_json::to_string(&report)), meta)
-                                })
+                                .map(|(report, meta)| (rbs_json::to_string(&report), meta))
                                 .map_err(|error| SvcError::from_analysis(&error))
                         }
                         Job::Delta { base, ops } => {
@@ -803,9 +820,7 @@ impl Service {
                                 }
                             }
                             run_delta_in((*base).clone(), &ops, &limits, scratch)
-                                .map(|(report, meta)| {
-                                    (Arc::<str>::from(rbs_json::to_string(&report)), meta)
-                                })
+                                .map(|(report, meta)| (rbs_json::to_string(&report), meta))
                                 .map_err(|error| match error {
                                     // Op validation re-runs inside the worker;
                                     // triage already vetted the sequence, so
@@ -825,15 +840,12 @@ impl Service {
                             }
                             run_sweep_in(&grid, &limits, scratch)
                                 .map(|swept| match swept {
-                                    Some((report, meta)) => {
-                                        (Arc::<str>::from(rbs_json::to_string(&report)), meta)
-                                    }
+                                    Some((report, meta)) => (rbs_json::to_string(&report), meta),
                                     // No density-feasible x at any y: a stable
                                     // verdict, cacheable like any report.
-                                    None => (
-                                        Arc::<str>::from("{\"infeasible\":true}"),
-                                        AnalyzeMeta::default(),
-                                    ),
+                                    None => {
+                                        ("{\"infeasible\":true}".to_owned(), AnalyzeMeta::default())
+                                    }
                                 })
                                 .map_err(|error| SvcError::from_analysis(&error))
                         }
@@ -861,10 +873,7 @@ impl Service {
                                         kept_records: walks.kept,
                                         rewalked_frontiers: walks.rewalked,
                                     };
-                                    (
-                                        Arc::<str>::from(rbs_json::to_string(&outcome.to_json())),
-                                        meta,
-                                    )
+                                    (rbs_json::to_string(&outcome.to_json()), meta)
                                 })
                                 .map_err(|error| SvcError::from_analysis(&error))
                         }
@@ -882,6 +891,19 @@ impl Service {
             .collect();
 
         // Pass 3 (sequential): fill both caches and assemble responses.
+        // The one copy of each rendered report into its long-lived
+        // `Arc<str>` happens here, on the calling thread, so cached
+        // reports never pin the heap of the per-batch worker threads that
+        // rendered them (see `Service`).
+        let results: Vec<JobResult<Arc<str>>> = results
+            .into_iter()
+            .map(|(outcome, micros)| {
+                (
+                    outcome.map(|(report_json, meta)| (Arc::<str>::from(report_json), meta)),
+                    micros,
+                )
+            })
+            .collect();
         for (canonical, (outcome, _)) in canonicals.iter().zip(&results) {
             match outcome {
                 Ok((report_json, meta)) => {
@@ -1041,7 +1063,7 @@ impl Service {
                     // Every successfully parsed set becomes a delta base
                     // candidate, addressable by the hash echoed in the
                     // response.
-                    self.register_base(&canonical, &Arc::new(set.clone()));
+                    self.register_base(&canonical, || Arc::new(set.clone()));
                     (canonical, Job::Analyze { set })
                 }
                 Err(error) => {
@@ -1095,7 +1117,7 @@ impl Service {
         let base = match request.base {
             DeltaBase::Inline(set) => {
                 let set = Arc::new(set);
-                self.register_base(&CanonicalTaskSet::of(&set), &set);
+                self.register_base(&CanonicalTaskSet::of(&set), || Arc::clone(&set));
                 set
             }
             DeltaBase::Key(key) => self
@@ -1121,7 +1143,7 @@ impl Service {
         let canonical = CanonicalTaskSet::of(&result);
         // The resulting set is itself a base candidate, so clients can
         // chain deltas off each response's hash.
-        self.register_base(&canonical, &Arc::new(result));
+        self.register_base(&canonical, || Arc::new(result));
         Ok((
             canonical,
             Job::Delta {
@@ -1229,6 +1251,27 @@ mod tests {
         let lease = service.clone().lease_scratch();
         drop(lease);
         assert_eq!(service.scratches.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn base_registry_builds_only_on_insert_and_resolves_the_display_form() {
+        let set = Arc::new(TaskSet::empty());
+        let hash = 0x00ab_cdef_0000_0001;
+        let mut registry = BaseRegistry::default();
+        let mut built = 0;
+        for _ in 0..3 {
+            registry.insert_with(4, hash, || {
+                built += 1;
+                Arc::clone(&set)
+            });
+        }
+        assert_eq!(built, 1, "a bound key must not rebuild its set");
+        // Only the 16-digit lowercase spelling a response's `hash` field
+        // carries resolves.
+        assert!(registry.get("00abcdef00000001").is_some());
+        for other in ["00ABCDEF00000001", "abcdef00000001", "+0abcdef00000001", ""] {
+            assert!(registry.get(other).is_none(), "{other:?} resolved");
+        }
     }
 
     #[test]

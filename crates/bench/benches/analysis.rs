@@ -375,6 +375,61 @@ fn main() {
         });
     }
 
+    // A composite splice with a HI-mode activity flip: one 8-op burst
+    // turns a resident HI-terminated task HI-active (its `DBF_HI` and
+    // `ADB_HI` components insert mid-profile), turns an earlier flip
+    // back to terminated, and churns three terminated residents, then
+    // asks for `s_min`. The fleet's mix stays fixed across iterations.
+    {
+        let fleet = 256usize;
+        let mut rng = Rng::seed_from_u64(2015);
+        let mut delta = DeltaAnalysis::new(TaskSet::empty(), &limits);
+        let mut stopped = VecDeque::with_capacity(fleet);
+        for id in 0..fleet {
+            let task = frontier_candidate(&mut rng, id);
+            if task.is_terminated_in_hi() {
+                stopped.push_back(task.name().to_owned());
+            }
+            delta.admit(task).expect("admits");
+        }
+        let mut next_id = fleet;
+        let mut flipped = VecDeque::new();
+        for _ in 0..4 {
+            let task = fleet_candidate(&mut rng, next_id);
+            next_id += 1;
+            let victim = stopped.pop_front().expect("terminated residents");
+            flipped.push_back(task.name().to_owned());
+            delta.replace(&victim, task).expect("replaces");
+        }
+        delta.minimum_speedup().expect("completes");
+        runner.bench(&format!("delta/flip_batch/{fleet}"), || {
+            let mut ops = Vec::with_capacity(8);
+            let active = fleet_candidate(&mut rng, next_id);
+            flipped.push_back(active.name().to_owned());
+            ops.push(DeltaOp::Replace {
+                id: stopped.pop_front().expect("terminated residents"),
+                task: active,
+            });
+            let stop = terminated_candidate(&mut rng, next_id + 1);
+            ops.push(DeltaOp::Replace {
+                id: flipped.pop_front().expect("flipped residents"),
+                task: stop.clone(),
+            });
+            stopped.push_back(stop.name().to_owned());
+            for churn in 0..3 {
+                let stop = terminated_candidate(&mut rng, next_id + 2 + churn);
+                ops.push(DeltaOp::Evict(
+                    stopped.pop_front().expect("terminated residents"),
+                ));
+                stopped.push_back(stop.name().to_owned());
+                ops.push(DeltaOp::Admit(stop));
+            }
+            next_id += 5;
+            delta.apply_batch(ops).expect("applies");
+            delta.minimum_speedup().expect("completes")
+        });
+    }
+
     // Frontier repair under churn-dominated admission: the churned
     // tasks are HI-terminated (eq. (3)), so every delta leaves the
     // `ADB_HI` profile untouched and the repaired staircase keeps

@@ -122,6 +122,35 @@ impl WalkCounts {
     pub fn total(&self) -> u64 {
         self.integer + self.exact
     }
+
+    /// Adds every counter of `other` into `self` — the one accumulator
+    /// for folding per-session, per-core or per-request counts together.
+    pub fn absorb(&mut self, other: WalkCounts) {
+        let WalkCounts {
+            integer,
+            exact,
+            pruned,
+            avoided,
+            reused_components,
+            rebuilt_components,
+            lockstep,
+            patched,
+            repaired,
+            kept,
+            rewalked,
+        } = other;
+        self.integer += integer;
+        self.exact += exact;
+        self.pruned += pruned;
+        self.avoided += avoided;
+        self.reused_components += reused_components;
+        self.rebuilt_components += rebuilt_components;
+        self.lockstep += lockstep;
+        self.patched += patched;
+        self.repaired += repaired;
+        self.kept += kept;
+        self.rewalked += rewalked;
+    }
 }
 
 /// A per-task-set analysis context: lazily-built, shared demand profiles
@@ -683,6 +712,45 @@ mod tests {
                 .build()
                 .expect("valid"),
         ])
+    }
+
+    #[test]
+    fn absorb_sums_every_counter() {
+        // Distinct powers of two per field: a dropped or crossed field
+        // shows up as a wrong bit.
+        let one = WalkCounts {
+            integer: 1,
+            exact: 2,
+            pruned: 4,
+            avoided: 8,
+            reused_components: 16,
+            rebuilt_components: 32,
+            lockstep: 64,
+            patched: 128,
+            repaired: 256,
+            kept: 512,
+            rewalked: 1024,
+        };
+        let mut total = WalkCounts::default();
+        total.absorb(one);
+        assert_eq!(total, one);
+        total.absorb(one);
+        assert_eq!(
+            total,
+            WalkCounts {
+                integer: 2,
+                exact: 4,
+                pruned: 8,
+                avoided: 16,
+                reused_components: 32,
+                rebuilt_components: 64,
+                lockstep: 128,
+                patched: 256,
+                repaired: 512,
+                kept: 1024,
+                rewalked: 2048,
+            }
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::sync::OnceLock;
 use rbs_timebase::{lcm_i128, Rational};
 
 use crate::scaled::{FitsMachine, MachineStep, ScaledProfile, SupRatioMachine};
-use crate::splice_buf::SpliceBuf;
+use crate::splice_buf::{post_edit_index, SpliceBuf};
 use crate::{AnalysisError, AnalysisLimits};
 
 /// One periodic demand component (typically: one task's demand curve).
@@ -503,103 +503,33 @@ impl DemandProfile {
         in_place
     }
 
-    /// Appends one component and extends the integer fast path in O(1)
-    /// when the new component fits the current timebase (the old list is
-    /// a prefix of the new one, so every stored fold extends
-    /// bit-identically); otherwise rebuilds the fast path from scratch —
-    /// exactly what [`DemandProfile::new`] on the appended list would
-    /// produce either way. Returns `true` when the extension stayed in
-    /// place.
-    pub(crate) fn append_component(&mut self, component: PeriodicDemand) -> bool {
-        self.components.push(component);
-        let in_place = match self.scaled.as_mut() {
-            Some(scaled) => scaled.append(&self.components).is_some(),
-            None => false,
-        };
-        if !in_place {
-            self.scaled = ScaledProfile::build(&self.components);
-        }
-        self.aggregates = Aggregates::default();
-        in_place
-    }
-
-    /// Splices one component in at `index`, reusing every other
-    /// component's scaled form when the fresh timebase is unchanged;
-    /// otherwise rebuilds. Returns `true` when the splice stayed in
-    /// place.
-    pub(crate) fn insert_component(&mut self, index: usize, component: PeriodicDemand) -> bool {
-        self.components.insert(index, component);
-        let in_place = match self.scaled.as_mut() {
-            Some(scaled) => scaled.insert_at(index, &self.components).is_some(),
-            None => false,
-        };
-        if !in_place {
-            self.scaled = ScaledProfile::build(&self.components);
-        }
-        self.aggregates = Aggregates::default();
-        in_place
-    }
-
-    /// Drops the component at `index`, keeping the survivors' scaled
-    /// forms when they still live on their own fresh timebase (the
-    /// removed component may have carried the lcm); otherwise rebuilds.
-    /// Returns `true` when the drop stayed in place.
-    pub(crate) fn remove_component(&mut self, index: usize) -> bool {
-        self.components.remove(index);
-        let in_place = match self.scaled.as_mut() {
-            Some(scaled) => scaled.remove_at(index, &self.components).is_some(),
-            None => false,
-        };
-        if !in_place {
-            self.scaled = ScaledProfile::build(&self.components);
-        }
-        self.aggregates = Aggregates::default();
-        in_place
-    }
-
-    /// Replaces the component at `index` in place when the fresh
-    /// timebase is unchanged; otherwise rebuilds. Returns `true` when
-    /// the replacement stayed in place.
-    pub(crate) fn replace_component(&mut self, index: usize, component: PeriodicDemand) -> bool {
-        self.components[index] = component;
-        let in_place = match self.scaled.as_mut() {
-            Some(scaled) => scaled.replace_at(index, &self.components).is_some(),
-            None => false,
-        };
-        if !in_place {
-            self.scaled = ScaledProfile::build(&self.components);
-        }
-        self.aggregates = Aggregates::default();
-        in_place
-    }
-
     /// Applies one composite splice — replace the components at
     /// `patched` (pre-edit indices, ascending), drop the ones at
     /// `removed` (pre-edit, strictly ascending, disjoint from `patched`),
-    /// append `appended` — patching the integer fast path with a single
-    /// aggregate refold (see [`ScaledProfile::splice_batch`]); otherwise
-    /// rebuilds the fast path from scratch, exactly what
-    /// [`DemandProfile::new`] on the post-edit list would produce.
-    /// Returns `true` when the splice stayed in place.
+    /// and insert each of `inserted` before its pre-edit index (`len`
+    /// appends; ascending, ties land in list order) — patching the
+    /// integer fast path with a single aggregate refold (see
+    /// [`ScaledProfile::splice_batch`]); otherwise rebuilds the fast path
+    /// from scratch, exactly what [`DemandProfile::new`] on the post-edit
+    /// list would produce. Returns `true` when the splice stayed in
+    /// place.
     pub(crate) fn splice_components(
         &mut self,
         patched: &[(usize, PeriodicDemand)],
         removed: &[usize],
-        appended: Vec<PeriodicDemand>,
+        inserted: &[(usize, PeriodicDemand)],
     ) -> bool {
-        let appended_len = appended.len();
         for &(i, ref component) in patched {
             self.components[i] = component.clone();
         }
         self.components.remove_sorted(removed);
-        for component in appended {
-            self.components.push(component);
+        for (landed, &(pre, ref component)) in inserted.iter().enumerate() {
+            let i = post_edit_index(removed, pre, landed);
+            self.components.insert(i, component.clone());
         }
-        let components = &self.components;
-        let appended_tail = &components[components.len() - appended_len..];
         let in_place = match self.scaled.as_mut() {
             Some(scaled) => scaled
-                .splice_batch(patched, removed, appended_tail, components)
+                .splice_batch(patched, removed, inserted, &self.components)
                 .is_some(),
             None => false,
         };
@@ -1930,16 +1860,13 @@ impl ResetFrontier {
                 let raw_min = |acc: Option<(i128, i128)>, cand: (i128, i128)| match acc {
                     None => Some(cand),
                     Some(best) => {
-                        let cand_smaller = match cmp_raw(
-                            Rational::new(cand.0, cand.1),
-                            best.0,
-                            best.1,
-                        ) {
-                            Some(ord) => ord == Ordering::Less,
-                            None => {
-                                Rational::new(cand.0, cand.1) < Rational::new(best.0, best.1)
-                            }
-                        };
+                        let cand_smaller =
+                            match cmp_raw(Rational::new(cand.0, cand.1), best.0, best.1) {
+                                Some(ord) => ord == Ordering::Less,
+                                None => {
+                                    Rational::new(cand.0, cand.1) < Rational::new(best.0, best.1)
+                                }
+                            };
                         Some(if cand_smaller { cand } else { best })
                     }
                 };

@@ -46,7 +46,7 @@ use rbs_timebase::{lcm_i128, Rational};
 
 use crate::demand::{FirstFit, PeriodicDemand, ResetFrontier, ScaledFrontierRecord, SupRatio};
 use crate::kernel::{KernelWalk, Lane, NarrowHeadroom};
-use crate::splice_buf::SpliceBuf;
+use crate::splice_buf::{post_edit_index, SpliceBuf};
 use crate::{AnalysisError, AnalysisLimits};
 
 /// Bails out of the fast path (`return Ok(None)`) when a checked
@@ -689,6 +689,76 @@ fn fold_certificate(n: usize, a: i128, l: i128) -> bool {
         .is_some()
 }
 
+/// The running aggregate adjustment of one composite splice, folded as
+/// the splice visits each outgoing and incoming component — what
+/// [`ScaledProfile::apply_agg_delta`] settles the profile totals from.
+struct AggDelta {
+    /// Moved contributions so far.
+    moved: usize,
+    /// lcm of the moved contributions' denominators (`None`: overflow).
+    denom_lcm: Option<i128>,
+    /// Largest |numerator| among the moved contributions.
+    abs_num_max: i128,
+    /// The shortcut `(rate, envelope)` totals: the resident totals less
+    /// every outgoing and plus every incoming contribution (`None` once
+    /// a step overflowed — the certificate then fails as well).
+    totals: Option<(Rational, Rational)>,
+    /// The narrow-headroom proof retracted and extended the same way
+    /// (`None` on a miss or when the resident proof had overflowed);
+    /// its `period_max` is settled from the aux state at the end.
+    narrow: Option<NarrowHeadroom>,
+}
+
+impl AggDelta {
+    fn new(profile: &ScaledProfile) -> AggDelta {
+        AggDelta {
+            moved: 0,
+            denom_lcm: Some(1),
+            abs_num_max: 0,
+            totals: Some((profile.rate, profile.envelope)),
+            narrow: profile.narrow,
+        }
+    }
+
+    /// Folds one moved contribution into the certificate inputs.
+    fn note(&mut self, (rate, envelope): (Rational, Rational)) {
+        let num_bound = |q: Rational| q.numer().checked_abs().unwrap_or(i128::MAX);
+        self.moved += 1;
+        self.denom_lcm = self
+            .denom_lcm
+            .and_then(|l| lcm_i128(l, rate.denom()))
+            .and_then(|l| lcm_i128(l, envelope.denom()));
+        self.abs_num_max = self
+            .abs_num_max
+            .max(num_bound(rate))
+            .max(num_bound(envelope));
+    }
+
+    /// An outgoing component.
+    fn retract(&mut self, contrib: (Rational, Rational), c: &ScaledComponent) {
+        self.note(contrib);
+        self.totals = self.totals.and_then(|(rate, envelope)| {
+            Some((
+                rate.checked_sub(contrib.0).ok()?,
+                envelope.checked_sub(contrib.1).ok()?,
+            ))
+        });
+        self.narrow = self.narrow.and_then(|h| h.retract(c));
+    }
+
+    /// An incoming component.
+    fn extend(&mut self, contrib: (Rational, Rational), c: &ScaledComponent) {
+        self.note(contrib);
+        self.totals = self.totals.and_then(|(rate, envelope)| {
+            Some((
+                rate.checked_add(contrib.0).ok()?,
+                envelope.checked_add(contrib.1).ok()?,
+            ))
+        });
+        self.narrow = self.narrow.and_then(|h| h.extend(c));
+    }
+}
+
 impl ScaledProfile {
     /// Rescales `components` onto their common integer timebase.
     ///
@@ -761,305 +831,133 @@ impl ScaledProfile {
         Some(())
     }
 
-    /// Whether [`fold_certificate`] covers the resident contributions
-    /// plus the listed outgoing/incoming ones. The aux multisets
-    /// already describe the post-delta component list, so outgoing
-    /// denominators and magnitudes are folded in explicitly — the
-    /// certificate must also cover the pre-delta totals the shortcut
-    /// starts from.
-    fn certificate_covers(
-        &self,
-        removed: &[(Rational, Rational)],
-        added: &[(Rational, Rational)],
-    ) -> bool {
-        let Some(aux) = self.aux.as_ref() else {
-            return false;
-        };
-        let Some(mut l) = aux.contrib_denom_lcm() else {
-            return false;
-        };
-        let mut a = aux.abs_num_max;
-        for &(rate, envelope) in removed.iter().chain(added) {
-            let next = lcm_i128(l, rate.denom()).and_then(|l| lcm_i128(l, envelope.denom()));
-            let Some(next) = next else {
-                return false;
-            };
-            l = next;
-            a = a
-                .max(rate.numer().checked_abs().unwrap_or(i128::MAX))
-                .max(envelope.numer().checked_abs().unwrap_or(i128::MAX));
-        }
-        let n = self.contribs.len() + removed.len() + added.len();
-        fold_certificate(n, a, l)
-    }
-
-    /// Refolds the profile aggregates after a splice has updated
-    /// `components`/`contribs`/aux: the `(rate, envelope)` totals via
-    /// the O(1) shortcut when [`fold_certificate`] proves no fold order
-    /// can overflow (exact in-order refold otherwise), the hyperperiod
-    /// and narrow-lane proof from the counted aux state. Bit-identical
+    /// Settles the profile aggregates after a splice has updated
+    /// `components`/`contribs`/aux, from the splice's running `delta`:
+    /// the `(rate, envelope)` totals take the O(1) shortcut when
+    /// [`fold_certificate`] covers the resident contributions plus every
+    /// moved one (the aux multisets already describe the post-delta
+    /// list, so the moved keys are folded in explicitly — the certificate
+    /// must also cover the pre-delta totals the shortcut starts from) and
+    /// the exact in-order refold otherwise; the hyperperiod and
+    /// narrow-lane proof come from the counted aux state. Bit-identical
     /// to a fresh [`ScaledProfile::build_with_scale`] on the same
     /// components and scale, overflow-bail points included.
-    fn apply_agg_delta(
-        &mut self,
-        removed: &[(Rational, Rational)],
-        added: &[(Rational, Rational)],
-        removed_scaled: &[ScaledComponent],
-        added_scaled: &[ScaledComponent],
-    ) -> Option<()> {
-        if self.certificate_covers(removed, added) {
-            let mut rate = self.rate;
-            let mut envelope = self.envelope;
-            for &(rate_c, envelope_c) in removed {
-                rate = rate.checked_sub(rate_c).ok()?;
-                envelope = envelope.checked_sub(envelope_c).ok()?;
+    fn apply_agg_delta(&mut self, delta: AggDelta) -> Option<()> {
+        let aux = self.aux.as_ref()?;
+        let certified = aux
+            .contrib_denom_lcm()
+            .zip(delta.denom_lcm)
+            .and_then(|(resident, moved)| lcm_i128(resident, moved))
+            .is_some_and(|l| {
+                let n = self.contribs.len() + delta.moved;
+                fold_certificate(n, aux.abs_num_max.max(delta.abs_num_max), l)
+            });
+        let (hyperperiod, period_max) = (aux.hyperperiod(self.scale), aux.period_max(self.scale));
+        match delta.totals.filter(|_| certified) {
+            Some((rate, envelope)) => {
+                self.rate = rate;
+                self.envelope = envelope;
             }
-            for &(rate_c, envelope_c) in added {
-                rate = rate.checked_add(rate_c).ok()?;
-                envelope = envelope.checked_add(envelope_c).ok()?;
-            }
-            self.rate = rate;
-            self.envelope = envelope;
-        } else {
-            // The certificate could not rule out an overflow somewhere,
-            // so run the exact fold a fresh build runs — same sums, same
-            // order, same bail points.
-            let mut rate = Rational::ZERO;
-            let mut envelope = Rational::ZERO;
-            for &(rate_c, envelope_c) in self.contribs.iter() {
-                rate = rate.checked_add(rate_c).ok()?;
-                envelope = envelope.checked_add(envelope_c).ok()?;
-            }
-            self.rate = rate;
-            self.envelope = envelope;
-        }
-        let (hyperperiod, period_max) = {
-            let aux = self.aux.as_ref()?;
-            (aux.hyperperiod(self.scale), aux.period_max(self.scale))
-        };
-        self.hyperperiod = hyperperiod;
-        self.narrow = match self.narrow {
-            Some(headroom) => {
-                let shortcut = (|| {
-                    let mut h = headroom;
-                    for c in removed_scaled {
-                        h = h.retract(c)?;
-                    }
-                    for c in added_scaled {
-                        h = h.extend(c)?;
-                    }
-                    Some(h.with_period_max(period_max?))
-                })();
-                // A shortcut miss is authoritative for additions
-                // (non-negative sums overflow order-independently) but
-                // not for retractions; the refold settles both exactly.
-                match shortcut {
-                    Some(h) => Some(h),
-                    None => {
-                        NarrowHeadroom::fold(&self.components)
-                    }
+            None => {
+                // The certificate could not rule out an overflow
+                // somewhere, so run the exact fold a fresh build runs —
+                // same sums, same order, same bail points.
+                let mut rate = Rational::ZERO;
+                let mut envelope = Rational::ZERO;
+                for &(rate_c, envelope_c) in self.contribs.iter() {
+                    rate = rate.checked_add(rate_c).ok()?;
+                    envelope = envelope.checked_add(envelope_c).ok()?;
                 }
+                self.rate = rate;
+                self.envelope = envelope;
             }
-            // The proof previously overflowed; a removal can bring the
-            // sums back in range, so re-prove from the survivors.
+        }
+        self.hyperperiod = hyperperiod;
+        // A shortcut miss is authoritative for additions (non-negative
+        // sums overflow order-independently) but not for retractions —
+        // and a proof that previously overflowed may come back in range
+        // after a removal — so a miss re-proves from the survivors.
+        self.narrow = match delta.narrow.zip(period_max) {
+            Some((headroom, period_max)) => Some(headroom.with_period_max(period_max)),
             None => NarrowHeadroom::fold(&self.components),
         };
         Some(())
     }
 
     /// Re-scales only the components at `indices` (already updated in
-    /// `components`) and refolds the profile aggregates, leaving every
-    /// other component's scaled form untouched.
+    /// `components`) and refolds the profile aggregates in component
+    /// order, exactly as [`ScaledProfile::build_with_scale`] on the same
+    /// components and scale would, leaving every other component's
+    /// scaled form untouched. Returns `None` when a patched quantity
+    /// overflows or its denominator does not divide the profile's scale;
+    /// the profile may then be partially updated and the caller must
+    /// rebuild it.
     ///
-    /// The aggregates refold via [`ScaledProfile::apply_agg_delta`], so
-    /// the patched profile answers every query bit-identically to
-    /// [`ScaledProfile::build_with_scale`] on the same components and
-    /// scale. Returns `None` when a patched quantity overflows or its
-    /// denominator does not divide the profile's scale; the profile may
-    /// then be partially updated and the caller must rebuild it.
-    ///
-    /// Profiles that have never seen a task-set delta (`aux` unbuilt —
-    /// the sweep engine's case, where patches touch most components
-    /// every call) skip the splice bookkeeping entirely and refold the
-    /// aggregates in component order, exactly as a fresh build would.
+    /// This is the sweep engine's patch, which pins a grid-wide timebase
+    /// on purpose and touches most components every call; task-set
+    /// deltas go through [`ScaledProfile::splice_batch`] instead, so a
+    /// patched profile never carries splice bookkeeping.
     pub(crate) fn patch(&mut self, components: &[PeriodicDemand], indices: &[usize]) -> Option<()> {
-        if self.aux.is_none() {
-            for &i in indices {
-                let (sc, rate_c, envelope_c) = scale_component(&components[i], self.scale)?;
-                self.components[i] = sc;
-                self.contribs[i] = (rate_c, envelope_c);
-            }
-            let mut rate = Rational::ZERO;
-            let mut envelope = Rational::ZERO;
-            for &(rate_c, envelope_c) in self.contribs.iter() {
-                rate = rate.checked_add(rate_c).ok()?;
-                envelope = envelope.checked_add(envelope_c).ok()?;
-            }
-            self.rate = rate;
-            self.envelope = envelope;
-            self.hyperperiod = scaled_hyperperiod(components, self.scale);
-            self.narrow = NarrowHeadroom::fold(&self.components);
-            return Some(());
-        }
-        let mut removed = Vec::with_capacity(indices.len());
-        let mut added = Vec::with_capacity(indices.len());
-        let mut removed_scaled = Vec::with_capacity(indices.len());
-        let mut added_scaled = Vec::with_capacity(indices.len());
+        debug_assert!(self.aux.is_none(), "sweep profiles never splice");
         for &i in indices {
             let (sc, rate_c, envelope_c) = scale_component(&components[i], self.scale)?;
-            self.aux
-                .as_mut()?
-                .replace(i, &components[i], rate_c, envelope_c)?;
-            removed.push(self.contribs[i]);
-            removed_scaled.push(self.components[i]);
             self.components[i] = sc;
             self.contribs[i] = (rate_c, envelope_c);
-            added.push((rate_c, envelope_c));
-            added_scaled.push(sc);
         }
-        self.apply_agg_delta(&removed, &added, &removed_scaled, &added_scaled)
-    }
-
-    /// Appends one component (already pushed as the last entry of
-    /// `components`) without touching any existing scaled form.
-    ///
-    /// The old component list is a prefix of the new one, so every
-    /// left-to-right fold a fresh build runs — scale lcm, rate and
-    /// envelope sums, the narrow-headroom aggregates — extends the
-    /// stored fold result by exactly one step, and the appended profile
-    /// is query-for-query what [`ScaledProfile::build`] would produce
-    /// (overflow-bail points included). Returns `None` when the fresh
-    /// timebase differs from the current one (the appended denominators
-    /// would grow the lcm) or any extension overflows; the profile is
-    /// then partially updated and the caller must rebuild.
-    pub(crate) fn append(&mut self, components: &[PeriodicDemand]) -> Option<()> {
-        let c = components.last()?;
-        let aux_ready = self.aux.is_some();
-        self.ensure_aux(components)?;
-        let (sc, rate_c, envelope_c) = scale_component(c, self.scale)?;
-        if aux_ready {
-            let at = self.components.len();
-            self.aux.as_mut()?.insert(at, c, rate_c, envelope_c)?;
+        let mut rate = Rational::ZERO;
+        let mut envelope = Rational::ZERO;
+        for &(rate_c, envelope_c) in self.contribs.iter() {
+            rate = rate.checked_add(rate_c).ok()?;
+            envelope = envelope.checked_add(envelope_c).ok()?;
         }
-        if self.aux.as_ref()?.fresh_scale()? != self.scale {
-            return None;
-        }
-        let rate = self.rate.checked_add(rate_c).ok()?;
-        let envelope = self.envelope.checked_add(envelope_c).ok()?;
-        let narrow = match self.narrow {
-            Some(headroom) => headroom.extend(&sc),
-            None => None,
-        };
-        let hyperperiod = self.aux.as_ref()?.hyperperiod(self.scale);
-        self.components.push(sc);
-        self.contribs.push((rate_c, envelope_c));
         self.rate = rate;
         self.envelope = envelope;
-        self.hyperperiod = hyperperiod;
-        self.narrow = narrow;
-        Some(())
-    }
-
-    /// Splices a freshly scaled component in at `index` (`components` is
-    /// the post-insert list), reusing every other component's scaled
-    /// form and refolding the aggregates. Returns `None` when the fresh
-    /// timebase differs from the current scale or anything overflows;
-    /// the profile may then be partially updated and the caller must
-    /// rebuild.
-    pub(crate) fn insert_at(&mut self, index: usize, components: &[PeriodicDemand]) -> Option<()> {
-        let aux_ready = self.aux.is_some();
-        self.ensure_aux(components)?;
-        let (sc, rate_c, envelope_c) = scale_component(&components[index], self.scale)?;
-        if aux_ready {
-            self.aux
-                .as_mut()?
-                .insert(index, &components[index], rate_c, envelope_c)?;
-        }
-        if self.aux.as_ref()?.fresh_scale()? != self.scale {
-            return None;
-        }
-        self.components.insert(index, sc);
-        self.contribs.insert(index, (rate_c, envelope_c));
-        self.apply_agg_delta(&[], &[(rate_c, envelope_c)], &[], &[sc])
-    }
-
-    /// Drops the component at `index` (`components` is the post-remove
-    /// list) and refolds the aggregates over the survivors. Returns
-    /// `None` when the survivors' fresh timebase is smaller than the
-    /// current scale (the removed component carried the lcm) or a refold
-    /// overflows; the profile may then be partially updated and the
-    /// caller must rebuild.
-    pub(crate) fn remove_at(&mut self, index: usize, components: &[PeriodicDemand]) -> Option<()> {
-        let aux_ready = self.aux.is_some();
-        self.ensure_aux(components)?;
-        if aux_ready {
-            self.aux.as_mut()?.remove(index);
-        }
-        if self.aux.as_ref()?.fresh_scale()? != self.scale {
-            return None;
-        }
-        let removed_scaled = self.components.remove(index);
-        let removed_contrib = self.contribs.remove(index);
-        self.apply_agg_delta(&[removed_contrib], &[], &[removed_scaled], &[])
-    }
-
-    /// Replace-in-place with a fresh-timebase guard: plain
-    /// [`ScaledProfile::patch`] keeps the current scale unconditionally
-    /// (the sweep engine pins a grid-wide timebase on purpose), while a
-    /// set delta must stay on the scale a fresh build of the new list
-    /// would pick, so overflow-bail points cannot move.
-    pub(crate) fn replace_at(&mut self, index: usize, components: &[PeriodicDemand]) -> Option<()> {
-        self.ensure_aux(components)?;
-        self.patch(components, &[index])?;
-        if self.aux.as_ref()?.fresh_scale()? != self.scale {
-            return None;
-        }
+        self.hyperperiod = scaled_hyperperiod(components, self.scale);
+        self.narrow = NarrowHeadroom::fold(&self.components);
         Some(())
     }
 
     /// Applies one composite splice — replace the components at
     /// `patched` (pre-edit indices, ascending), drop the ones at
     /// `removed` (pre-edit indices, strictly ascending, disjoint from
-    /// `patched`), append `appended` at the end — with a *single*
-    /// aggregate refold, overflow-certificate check, and narrow-lane
-    /// update, so a k-op delta pays the per-splice bookkeeping once.
-    /// `components` is the POST-edit list (used only to bootstrap the
-    /// splice bookkeeping on a profile that has never seen a delta).
+    /// `patched`), and insert each of `inserted` before its pre-edit
+    /// index (see [`post_edit_index`]) — with a *single* aggregate
+    /// refold, overflow-certificate check, and narrow-lane update, so a
+    /// k-op delta pays the per-splice bookkeeping once. `components` is
+    /// the POST-edit list (used only to bootstrap the splice bookkeeping
+    /// on a profile that has never seen a delta).
     ///
     /// Per-component key accounting still happens op by op (it is O(1)
     /// per op while the distinct-key sets are stable), and the one
-    /// refold runs through [`ScaledProfile::apply_agg_delta`] with the
-    /// full removed/added contribution lists — the certificate bound
+    /// refold runs through [`ScaledProfile::apply_agg_delta`] over every
+    /// moved contribution — the certificate bound
     /// `(n + 2 + |removed| + |added|)·a·l` covers every partial sum of
     /// the combined adjustment in any order, so the shortcut-vs-refold
     /// decision stays bit-identical to a fresh build's bail points.
-    /// Returns `None` when the post-edit list leaves the resident
-    /// timebase or anything overflows; the profile may then be partially
-    /// updated and the caller must rebuild.
+    /// The splice only stands when the post-edit list keeps the resident
+    /// timebase — the scale a fresh build would pick — so overflow-bail
+    /// points cannot move. Returns `None` when it does not or anything
+    /// overflows; the profile may then be partially updated and the
+    /// caller must rebuild.
     pub(crate) fn splice_batch(
         &mut self,
         patched: &[(usize, PeriodicDemand)],
         removed: &[usize],
-        appended: &[PeriodicDemand],
+        inserted: &[(usize, PeriodicDemand)],
         components: &[PeriodicDemand],
     ) -> Option<()> {
         let aux_ready = self.aux.is_some();
         self.ensure_aux(components)?;
-        let mut outgoing = Vec::with_capacity(patched.len() + removed.len());
-        let mut outgoing_scaled = Vec::with_capacity(patched.len() + removed.len());
-        let mut incoming = Vec::with_capacity(patched.len() + appended.len());
-        let mut incoming_scaled = Vec::with_capacity(patched.len() + appended.len());
+        let mut delta = AggDelta::new(self);
         for &(i, ref c) in patched {
             let (sc, rate_c, envelope_c) = scale_component(c, self.scale)?;
             if aux_ready {
                 self.aux.as_mut()?.replace(i, c, rate_c, envelope_c)?;
             }
-            outgoing.push(self.contribs[i]);
-            outgoing_scaled.push(self.components[i]);
+            delta.retract(self.contribs[i], &self.components[i]);
+            delta.extend((rate_c, envelope_c), &sc);
             self.components[i] = sc;
             self.contribs[i] = (rate_c, envelope_c);
-            incoming.push((rate_c, envelope_c));
-            incoming_scaled.push(sc);
         }
         if aux_ready {
             // Descending keeps the earlier pre-edit indices valid while
@@ -1069,26 +967,24 @@ impl ScaledProfile {
             }
         }
         for &i in removed {
-            outgoing.push(self.contribs[i]);
-            outgoing_scaled.push(self.components[i]);
+            delta.retract(self.contribs[i], &self.components[i]);
         }
         self.components.remove_sorted(removed);
         self.contribs.remove_sorted(removed);
-        for c in appended {
+        for (landed, &(pre, ref c)) in inserted.iter().enumerate() {
+            let i = post_edit_index(removed, pre, landed);
             let (sc, rate_c, envelope_c) = scale_component(c, self.scale)?;
             if aux_ready {
-                let at = self.components.len();
-                self.aux.as_mut()?.insert(at, c, rate_c, envelope_c)?;
+                self.aux.as_mut()?.insert(i, c, rate_c, envelope_c)?;
             }
-            self.components.push(sc);
-            self.contribs.push((rate_c, envelope_c));
-            incoming.push((rate_c, envelope_c));
-            incoming_scaled.push(sc);
+            delta.extend((rate_c, envelope_c), &sc);
+            self.components.insert(i, sc);
+            self.contribs.insert(i, (rate_c, envelope_c));
         }
         if self.aux.as_ref()?.fresh_scale()? != self.scale {
             return None;
         }
-        self.apply_agg_delta(&outgoing, &incoming, &outgoing_scaled, &incoming_scaled)
+        self.apply_agg_delta(delta)
     }
 
     /// Seeds the narrow (`i64`) kernel when the headroom proof covers

@@ -25,6 +25,16 @@
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 
+/// Where an element inserted before pre-edit index `pre` lands once the
+/// elements at `removed` (pre-edit, strictly ascending) are gone and
+/// `landed` earlier inserts (ascending by pre-edit index, ties in
+/// order) are in: inserting in that order at these indices reproduces
+/// the final sequence, because every element before an insert point is
+/// already in its final place when the insert lands.
+pub(crate) fn post_edit_index(removed: &[usize], pre: usize, landed: usize) -> usize {
+    pre - removed.partition_point(|&r| r < pre) + landed
+}
+
 /// A `Vec`-observable sequence with two-sided splice costs. See the
 /// module docs for the contiguity invariant.
 #[derive(Debug, Clone)]
@@ -58,13 +68,8 @@ impl<T> SpliceBuf<T> {
         }
     }
 
-    /// Appends an element.
-    pub(crate) fn push(&mut self, value: T) {
-        self.buf.push_back(value);
-        self.fixup();
-    }
-
-    /// Inserts `value` at `index`, shifting the shorter side.
+    /// Inserts `value` at `index` (`len` appends), shifting the shorter
+    /// side.
     pub(crate) fn insert(&mut self, index: usize, value: T) {
         self.buf.insert(index, value);
         self.fixup();
@@ -88,8 +93,9 @@ impl<T> SpliceBuf<T> {
     /// Removes the elements at `indices` (strictly ascending) in one
     /// order-preserving compaction pass over the *shorter* side: only
     /// the elements between the nearest buffer end and the farthest
-    /// removed index move, so evicting front-resident elements — the
-    /// churn loop's common case — stays O(indices), not O(len).
+    /// removed index move — each survivor once, as part of a block
+    /// rotation — so evicting front-resident elements, the churn loop's
+    /// common case, stays O(indices), not O(len).
     pub(crate) fn remove_sorted(&mut self, indices: &[usize]) {
         debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
         let (&first, &last) = match (indices.first(), indices.last()) {
@@ -98,38 +104,25 @@ impl<T> SpliceBuf<T> {
         };
         let len = self.buf.len();
         assert!(last < len, "SpliceBuf::remove_sorted index in bounds");
+        let slice: &mut [T] = self;
         if last < len - first {
-            // Compact the prefix rightward into the holes, then pop the
-            // front.
-            let mut write = last;
-            let mut holes = indices.iter().rev().peekable();
-            for read in (0..=last).rev() {
-                if holes.peek() == Some(&&read) {
-                    holes.next();
-                    continue;
-                }
-                if read != write {
-                    self.buf.swap(read, write);
-                }
-                write = write.saturating_sub(1);
+            // Gather the removed elements at the front, right to left:
+            // each window is the survivors below a hole followed by the
+            // `j + 1` removed elements gathered so far.
+            for (j, &hole) in indices.iter().rev().enumerate() {
+                let begin = indices[..indices.len() - 1 - j]
+                    .last()
+                    .map_or(0, |&h| h + 1);
+                slice[begin..=hole + j].rotate_right(j + 1);
             }
             for _ in indices {
                 self.buf.pop_front();
             }
         } else {
-            // Compact the suffix leftward into the holes, then pop the
-            // back.
-            let mut write = first;
-            let mut holes = indices.iter().peekable();
-            for read in first..len {
-                if holes.peek() == Some(&&read) {
-                    holes.next();
-                    continue;
-                }
-                if read != write {
-                    self.buf.swap(read, write);
-                }
-                write += 1;
+            // Gather the removed elements at the back, left to right.
+            for (j, &hole) in indices.iter().enumerate() {
+                let end = indices.get(j + 1).copied().unwrap_or(len);
+                slice[hole - j..end].rotate_left(j + 1);
             }
             for _ in indices {
                 self.buf.pop_back();
@@ -203,7 +196,7 @@ mod tests {
             let pick = x % 4;
             match pick {
                 0 => {
-                    buf.push(x);
+                    buf.insert(buf.len(), x);
                     vec.push(x);
                 }
                 1 if !vec.is_empty() => {
@@ -228,14 +221,24 @@ mod tests {
 
     #[test]
     fn remove_sorted_matches_sequential_removes() {
-        let mut buf: SpliceBuf<u32> = (0..50).collect();
-        let mut vec: Vec<u32> = (0..50).collect();
-        let indices = [0usize, 3, 4, 17, 49];
-        buf.remove_sorted(&indices);
-        for &i in indices.iter().rev() {
-            vec.remove(i);
+        // Front-heavy, back-heavy, single and adjacent holes: both
+        // compaction sides.
+        for indices in [
+            &[0usize, 3, 4, 17, 49][..],
+            &[1, 2, 3],
+            &[45, 46, 49],
+            &[7],
+            &[42],
+            &[0, 49],
+        ] {
+            let mut buf: SpliceBuf<u32> = (0..50).collect();
+            let mut vec: Vec<u32> = (0..50).collect();
+            buf.remove_sorted(indices);
+            for &i in indices.iter().rev() {
+                vec.remove(i);
+            }
+            assert_eq!(buf.as_slice(), vec.as_slice(), "{indices:?}");
         }
-        assert_eq!(buf.as_slice(), vec.as_slice());
     }
 
     #[test]
@@ -243,7 +246,7 @@ mod tests {
         let mut buf: SpliceBuf<u32> = (0..64).collect();
         for i in 64..10_000 {
             buf.remove(0);
-            buf.push(i);
+            buf.insert(buf.len(), i);
             assert_eq!(buf.as_slice().len(), 64);
             assert_eq!(*buf.as_slice().last().expect("nonempty"), i);
         }

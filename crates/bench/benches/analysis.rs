@@ -112,7 +112,7 @@ fn main() {
         // machine — soa/dispatch quantifies the lockstep driver's
         // overhead on top of the raw kernel walk (should be ~nil).
         runner.bench(&format!("sup_ratio_soa/hi_profile/{size}"), || {
-            sup_ratio_many(black_box(&[&profile]), &limits)
+            sup_ratio_many(black_box(&[(&profile, &limits)]))
                 .pop()
                 .expect("one slot")
                 .expect("completes")
@@ -127,9 +127,9 @@ fn main() {
             .map(|core| synthetic_set(8, 100 + core as u64))
             .collect();
         let profiles: Vec<_> = sets.iter().map(hi_profile).collect();
-        let refs: Vec<&_> = profiles.iter().collect();
+        let refs: Vec<_> = profiles.iter().map(|p| (p, &limits)).collect();
         runner.bench(&format!("walk_many/fleet/{fleet}"), || {
-            for result in sup_ratio_many(black_box(&refs), &limits) {
+            for result in sup_ratio_many(black_box(&refs)) {
                 result.expect("completes");
             }
         });

@@ -1,6 +1,6 @@
 //! Benchmarks for the `run-and-be-safe` workspace.
 //!
-//! Three suites (run with `cargo bench --workspace`):
+//! Five suites (run with `cargo bench --workspace`):
 //!
 //! * `analysis` — micro-benchmarks of the exact analyses (Theorem 2's
 //!   `s_min`, Corollary 5's `Δ_R`, demand-curve evaluation, minimal-`x`

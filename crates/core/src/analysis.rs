@@ -4,7 +4,7 @@
 //! profiles from the task set — `DBF_LO` ([`crate::dbf::lo_profile`]),
 //! `DBF_HI` ([`crate::dbf::hi_profile`]) or `ADB_HI`
 //! ([`crate::adb::hi_arrival_profile`]) — and the profile construction
-//! (including the integer-timebase rescaling of [`crate::scaled`]) is
+//! (including the integer-timebase rescaling of the `scaled` module) is
 //! the part worth sharing: a report runs half a dozen queries against
 //! the same three curves. [`Analysis`] builds each profile lazily, once,
 //! and threads it through every query. Resetting-time queries
@@ -54,19 +54,25 @@ use rbs_timebase::Rational;
 use crate::adb::{arrival_components_into, hi_arrival_profile};
 use crate::dbf::{hi_components_into, hi_profile, lo_components_into, lo_profile};
 use crate::demand::{
-    drive_lockstep, AnyMachine, AnyOutcome, DemandProfile, PeriodicDemand, ResetFrontier, SupRatio,
+    fits_lockstep, sup_ratio_lockstep, DemandProfile, PeriodicDemand, ResetFrontier, SupRatio,
     WalkKind, WalkTrace,
 };
 use crate::kernel::WalkArena;
 use crate::qpa::qpa_decision;
 use crate::resetting::{ResettingAnalysis, ResettingBound};
-use crate::scaled::{FitsMachine, SupRatioMachine};
 use crate::speedup::SpeedupAnalysis;
 use crate::{AnalysisError, AnalysisLimits};
 
 /// How many queries each walk implementation served (see
-/// [`crate::demand::WalkKind`]), plus the envelope-pruning and
-/// frontier-reuse tallies.
+/// [`crate::demand::WalkKind`]), plus the envelope-pruning,
+/// component-reuse and frontier-reuse tallies.
+///
+/// This is the one counter type from the walk to the wire: [`Analysis`],
+/// [`crate::sweep::SweepAnalysis`] and [`crate::delta::DeltaAnalysis`]
+/// each keep one and [`WalkCounts::record`] every walk they run; callers
+/// that combine contexts (the partitioner's cores, a service batch) sum
+/// them with [`WalkCounts::absorb`]. The counters never feed back into
+/// any analytical result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalkCounts {
     /// Queries served by the common-timebase `i128` fast path.
@@ -82,11 +88,11 @@ pub struct WalkCounts {
     /// Resetting-time queries answered from a cached [`ResetFrontier`]
     /// without walking any breakpoints. Not included in [`Self::total`].
     pub avoided: u64,
-    /// Demand components served from an earlier grid point instead of
-    /// being rebuilt. Always `0` for a plain [`Analysis`], which builds
-    /// each profile exactly once; the incremental sweep engine
-    /// ([`crate::sweep::SweepAnalysis`]) accumulates it across
-    /// `rescale_lo` calls.
+    /// Demand components kept in place instead of being rebuilt: the
+    /// sweep engine's unmoved components at each grid point, and the
+    /// delta engine's untouched components at each splice (so delta and
+    /// partition requests count them too). Always `0` for a plain
+    /// [`Analysis`], which builds each profile exactly once.
     pub reused_components: u64,
     /// Demand components constructed (or re-derived after a patch miss),
     /// including the initial profile builds.
@@ -121,6 +127,17 @@ impl WalkCounts {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.integer + self.exact
+    }
+
+    /// Tallies one finished breakpoint walk: its implementation, and
+    /// whether the envelope bound pruned it or a lockstep batch drove it.
+    pub fn record(&mut self, trace: WalkTrace) {
+        match trace.kind {
+            WalkKind::Integer => self.integer += 1,
+            WalkKind::Rational => self.exact += 1,
+        }
+        self.pruned += u64::from(trace.pruned);
+        self.lockstep += u64::from(trace.lockstep);
     }
 
     /// Adds every counter of `other` into `self` — the one accumulator
@@ -167,12 +184,7 @@ pub struct Analysis<'a> {
     lo: OnceCell<DemandProfile>,
     hi: OnceCell<DemandProfile>,
     arrival: OnceCell<DemandProfile>,
-    integer_walks: Cell<u64>,
-    exact_walks: Cell<u64>,
-    pruned_walks: Cell<u64>,
-    avoided_walks: Cell<u64>,
-    built_components: Cell<u64>,
-    lockstep_walks: Cell<u64>,
+    counts: Cell<WalkCounts>,
     /// The deepest `Δ_R` staircase built so far; covers every speed at or
     /// above the speed it was built for.
     frontier: RefCell<Option<ResetFrontier>>,
@@ -194,12 +206,7 @@ impl<'a> Analysis<'a> {
             lo: OnceCell::new(),
             hi: OnceCell::new(),
             arrival: OnceCell::new(),
-            integer_walks: Cell::new(0),
-            exact_walks: Cell::new(0),
-            pruned_walks: Cell::new(0),
-            avoided_walks: Cell::new(0),
-            built_components: Cell::new(0),
-            lockstep_walks: Cell::new(0),
+            counts: Cell::new(WalkCounts::default()),
             frontier: RefCell::new(None),
             primed_lo_fits: RefCell::new(None),
             primed_lo_sup: RefCell::new(None),
@@ -233,9 +240,15 @@ impl<'a> Analysis<'a> {
         ctx
     }
 
+    /// Applies `update` to the counters (the cell holds them by value).
+    fn tally(&self, update: impl FnOnce(&mut WalkCounts)) {
+        let mut counts = self.counts.get();
+        update(&mut counts);
+        self.counts.set(counts);
+    }
+
     fn note_built(&self, components: usize) {
-        self.built_components
-            .set(self.built_components.get() + components as u64);
+        self.tally(|c| c.rebuilt_components += components as u64);
     }
 
     /// Creates a context around profiles built elsewhere — the delta
@@ -343,43 +356,20 @@ impl<'a> Analysis<'a> {
         })
     }
 
-    fn record(&self, trace: WalkTrace) {
-        match trace.kind {
-            WalkKind::Integer => self.integer_walks.set(self.integer_walks.get() + 1),
-            WalkKind::Rational => self.exact_walks.set(self.exact_walks.get() + 1),
-        }
-        if trace.pruned {
-            self.pruned_walks.set(self.pruned_walks.get() + 1);
-        }
-        if trace.lockstep {
-            self.lockstep_walks.set(self.lockstep_walks.get() + 1);
-        }
-    }
-
     /// How many breakpoint walks ran so far, by implementation, plus how
     /// many pruned early and how many queries skipped walking entirely.
     /// The counts are deterministic for a given query sequence.
     #[must_use]
     pub fn walk_counts(&self) -> WalkCounts {
-        WalkCounts {
-            integer: self.integer_walks.get(),
-            exact: self.exact_walks.get(),
-            pruned: self.pruned_walks.get(),
-            avoided: self.avoided_walks.get(),
-            reused_components: 0,
-            rebuilt_components: self.built_components.get(),
-            lockstep: self.lockstep_walks.get(),
-            patched: 0,
-            repaired: 0,
-            kept: 0,
-            rewalked: 0,
-        }
+        self.counts.get()
     }
 
     /// Runs the three profile-supremum walks a full report needs — LO
     /// fits at nominal speed, the LO demand-ratio supremum and the HI
-    /// demand-ratio supremum — as one lockstep batch over the integer
-    /// fast path, staging each result for the query that consumes it
+    /// demand-ratio supremum — over the integer fast path through the
+    /// lockstep halves of [`crate::demand::fits_many`] and
+    /// [`crate::demand::sup_ratio_many`] (the two suprema interleaved),
+    /// staging each result for the query that consumes it
     /// ([`Analysis::is_lo_schedulable`],
     /// [`Analysis::lo_speed_requirement`],
     /// [`Analysis::minimum_speedup`]).
@@ -389,49 +379,12 @@ impl<'a> Analysis<'a> {
     /// its usual sequential walk with the exact-rational fallback.
     /// Results are bit-identical either way.
     pub fn prime_lockstep(&self) {
-        let lo = self.lo_profile();
-        let hi = self.hi_profile();
-        let mut live = Vec::with_capacity(3);
-        if let Some(machine) = lo
-            .scaled()
-            .and_then(|s| FitsMachine::new(s, Rational::ONE, &self.limits))
-        {
-            live.push((0, AnyMachine::Fits(machine), &self.limits));
-        }
-        if let Some(machine) = lo
-            .scaled()
-            .and_then(|s| SupRatioMachine::new(s, &self.limits))
-        {
-            live.push((1, AnyMachine::Sup(machine), &self.limits));
-        }
-        if let Some(machine) = hi
-            .scaled()
-            .and_then(|s| SupRatioMachine::new(s, &self.limits))
-        {
-            live.push((2, AnyMachine::Sup(machine), &self.limits));
-        }
-        let mut slots: [Option<Result<AnyOutcome, AnalysisError>>; 3] = [None, None, None];
-        drive_lockstep(live, &mut slots);
-        let trace = |pruned| WalkTrace {
-            kind: WalkKind::Integer,
-            pruned,
-            lockstep: true,
-        };
-        *self.primed_lo_fits.borrow_mut() = match slots[0].take() {
-            Some(Ok(AnyOutcome::Fits(fits, pruned))) => Some(Ok((fits, trace(pruned)))),
-            Some(Err(err)) => Some(Err(err)),
-            _ => None,
-        };
-        *self.primed_lo_sup.borrow_mut() = match slots[1].take() {
-            Some(Ok(AnyOutcome::Sup(sup, pruned))) => Some(Ok((sup, trace(pruned)))),
-            Some(Err(err)) => Some(Err(err)),
-            _ => None,
-        };
-        *self.primed_hi_sup.borrow_mut() = match slots[2].take() {
-            Some(Ok(AnyOutcome::Sup(sup, pruned))) => Some(Ok((sup, trace(pruned)))),
-            Some(Err(err)) => Some(Err(err)),
-            _ => None,
-        };
+        let (lo, hi, limits) = (self.lo_profile(), self.hi_profile(), &self.limits);
+        let mut fits = fits_lockstep(&[(lo, Rational::ONE, limits)]).into_iter();
+        let mut sups = sup_ratio_lockstep(&[(lo, limits), (hi, limits)]).into_iter();
+        *self.primed_lo_fits.borrow_mut() = fits.next().flatten();
+        *self.primed_lo_sup.borrow_mut() = sups.next().flatten();
+        *self.primed_hi_sup.borrow_mut() = sups.next().flatten();
     }
 
     /// Theorem 2's minimum HI-mode speedup (see
@@ -445,7 +398,7 @@ impl<'a> Analysis<'a> {
             Some(staged) => staged?,
             None => self.hi_profile().sup_ratio_traced(&self.limits)?,
         };
-        self.record(trace);
+        self.tally(|c| c.record(trace));
         Ok(SpeedupAnalysis::from_sup_ratio(sup))
     }
 
@@ -457,7 +410,7 @@ impl<'a> Analysis<'a> {
     /// As for [`crate::speedup::is_hi_schedulable`].
     pub fn is_hi_schedulable(&self, speed: Rational) -> Result<bool, AnalysisError> {
         let (fits, trace) = self.hi_profile().fits_traced(speed, &self.limits)?;
-        self.record(trace);
+        self.tally(|c| c.record(trace));
         Ok(fits)
     }
 
@@ -487,15 +440,11 @@ impl<'a> Analysis<'a> {
                 .as_ref()
                 .and_then(|frontier| frontier.lookup(speed))
             {
-                self.avoided_walks.set(self.avoided_walks.get() + 1);
+                self.tally(|c| c.avoided += 1);
                 return Ok(ResettingAnalysis::from_first_fit(fit, speed));
             }
             let (frontier, kind) = profile.reset_frontier(speed, &self.limits)?;
-            self.record(WalkTrace {
-                kind,
-                pruned: false,
-                lockstep: false,
-            });
+            self.tally(|c| c.record(WalkTrace::solo(kind, false)));
             let fit = frontier
                 .lookup(speed)
                 .expect("a frontier built for `speed` covers it");
@@ -505,7 +454,7 @@ impl<'a> Analysis<'a> {
         let (fit, trace) = self
             .arrival_profile()
             .first_fit_traced(speed, &self.limits)?;
-        self.record(trace);
+        self.tally(|c| c.record(trace));
         Ok(ResettingAnalysis::from_first_fit(fit, speed))
     }
 
@@ -520,7 +469,7 @@ impl<'a> Analysis<'a> {
             Some(staged) => staged?,
             None => self.lo_profile().sup_ratio_traced(&self.limits)?,
         };
-        self.record(trace);
+        self.tally(|c| c.record(trace));
         match sup {
             SupRatio::Finite { value, .. } => Ok(value),
             SupRatio::Unbounded => unreachable!("DBF_LO(0) = 0 for validated tasks"),
@@ -538,7 +487,7 @@ impl<'a> Analysis<'a> {
             Some(staged) => staged?,
             None => self.lo_profile().fits_traced(Rational::ONE, &self.limits)?,
         };
-        self.record(trace);
+        self.tally(|c| c.record(trace));
         Ok(fits)
     }
 
@@ -593,11 +542,7 @@ impl<'a> Analysis<'a> {
         let (needed, kind) =
             self.arrival_profile()
                 .min_ratio_within(budget, floor, tolerance, &self.limits)?;
-        self.record(WalkTrace {
-            kind,
-            pruned: false,
-            lockstep: false,
-        });
+        self.tally(|c| c.record(WalkTrace::solo(kind, false)));
         let candidate = floor.max(needed);
         if candidate > max_speed {
             // `needed` can overshoot the true infimum by up to

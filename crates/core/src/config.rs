@@ -83,7 +83,7 @@ impl AnalysisLimits {
     /// The cooperative walk check: called with the running breakpoint
     /// count (first call must pass `examined == 1`), it enforces the
     /// breakpoint budget on every step and the wall-clock deadline every
-    /// [`DEADLINE_CHECK_STRIDE`] steps (including the very first, so an
+    /// `DEADLINE_CHECK_STRIDE` steps (including the very first, so an
     /// expired deadline fails before any real work).
     ///
     /// # Errors

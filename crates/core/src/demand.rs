@@ -386,6 +386,41 @@ pub struct WalkTrace {
     pub lockstep: bool,
 }
 
+impl WalkTrace {
+    /// A dedicated one-shot walk of `kind`.
+    pub(crate) const fn solo(kind: WalkKind, pruned: bool) -> WalkTrace {
+        WalkTrace {
+            kind,
+            pruned,
+            lockstep: false,
+        }
+    }
+
+    /// An integer fast-path walk a lockstep batch driver completed.
+    pub(crate) const fn lockstep(pruned: bool) -> WalkTrace {
+        WalkTrace {
+            kind: WalkKind::Integer,
+            pruned,
+            lockstep: true,
+        }
+    }
+}
+
+/// A query answered by the integer fast path when it completed (`fast`
+/// is `Some`), else by the exact rational walk, traced with the kind
+/// that produced it.
+fn fast_or_exact<T>(
+    fast: Option<(T, bool)>,
+    exact: impl FnOnce() -> Result<(T, bool), AnalysisError>,
+) -> Result<(T, WalkTrace), AnalysisError> {
+    match fast {
+        Some((result, pruned)) => Ok((result, WalkTrace::solo(WalkKind::Integer, pruned))),
+        None => {
+            exact().map(|(result, pruned)| (result, WalkTrace::solo(WalkKind::Rational, pruned)))
+        }
+    }
+}
+
 /// A sum of [`PeriodicDemand`] components with exact sup-ratio and
 /// first-fit queries.
 ///
@@ -678,28 +713,11 @@ impl DemandProfile {
         &self,
         limits: &AnalysisLimits,
     ) -> Result<(SupRatio, WalkTrace), AnalysisError> {
-        if let Some(scaled) = &self.scaled {
-            if let Some((result, pruned)) = scaled.sup_ratio(limits)? {
-                return Ok((
-                    result,
-                    WalkTrace {
-                        kind: WalkKind::Integer,
-                        pruned,
-                        lockstep: false,
-                    },
-                ));
-            }
-        }
-        self.sup_ratio_exact_traced(limits).map(|(result, pruned)| {
-            (
-                result,
-                WalkTrace {
-                    kind: WalkKind::Rational,
-                    pruned,
-                    lockstep: false,
-                },
-            )
-        })
+        let fast = match &self.scaled {
+            Some(scaled) => scaled.sup_ratio(limits)?,
+            None => None,
+        };
+        fast_or_exact(fast, || self.sup_ratio_exact_traced(limits))
     }
 
     /// The exact rational reference implementation of
@@ -879,29 +897,11 @@ impl DemandProfile {
         if !speed.is_positive() {
             return Err(AnalysisError::NonPositiveSpeed);
         }
-        if let Some(scaled) = &self.scaled {
-            if let Some((result, pruned)) = scaled.fits(speed, limits)? {
-                return Ok((
-                    result,
-                    WalkTrace {
-                        kind: WalkKind::Integer,
-                        pruned,
-                        lockstep: false,
-                    },
-                ));
-            }
-        }
-        self.fits_exact_traced(speed, limits)
-            .map(|(result, pruned)| {
-                (
-                    result,
-                    WalkTrace {
-                        kind: WalkKind::Rational,
-                        pruned,
-                        lockstep: false,
-                    },
-                )
-            })
+        let fast = match &self.scaled {
+            Some(scaled) => scaled.fits(speed, limits)?,
+            None => None,
+        };
+        fast_or_exact(fast, || self.fits_exact_traced(speed, limits))
     }
 
     /// The exact rational reference implementation of
@@ -1012,31 +1012,11 @@ impl DemandProfile {
         if !speed.is_positive() {
             return Err(AnalysisError::NonPositiveSpeed);
         }
-        if let Some(scaled) = &self.scaled {
-            if let Some((result, pruned)) =
-                scaled.first_fit(speed, self.floor_horizon(speed), limits)?
-            {
-                return Ok((
-                    result,
-                    WalkTrace {
-                        kind: WalkKind::Integer,
-                        pruned,
-                        lockstep: false,
-                    },
-                ));
-            }
-        }
-        self.first_fit_exact_traced(speed, limits)
-            .map(|(result, pruned)| {
-                (
-                    result,
-                    WalkTrace {
-                        kind: WalkKind::Rational,
-                        pruned,
-                        lockstep: false,
-                    },
-                )
-            })
+        let fast = match &self.scaled {
+            Some(scaled) => scaled.first_fit(speed, self.floor_horizon(speed), limits)?,
+            None => None,
+        };
+        fast_or_exact(fast, || self.first_fit_exact_traced(speed, limits))
     }
 
     /// The exact rational reference implementation of
@@ -1324,72 +1304,30 @@ impl Default for DemandProfile {
 /// for *any* chunk size, so this is purely a locality knob.
 pub(crate) const LOCKSTEP_CHUNK: usize = 64;
 
-/// A heterogeneous resumable walk machine, so one lockstep driver can
-/// interleave sup-ratio and fits walks in the same batch.
-///
-/// The variants differ in size, but boxing the large one would put a
-/// heap allocation back on every lockstep walk — the machines live
-/// inline in the driver's short-lived batch vector on purpose.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum AnyMachine {
-    /// A [`SupRatioMachine`] walk.
-    Sup(SupRatioMachine),
-    /// A [`FitsMachine`] walk.
-    Fits(FitsMachine),
-}
-
-/// The finished result of an [`AnyMachine`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum AnyOutcome {
-    /// `(sup ratio, envelope-pruned)`.
-    Sup(SupRatio, bool),
-    /// `(fits, envelope-pruned)`.
-    Fits(bool, bool),
-}
-
-impl AnyMachine {
-    fn step(
-        &mut self,
-        batches: usize,
-        limits: &AnalysisLimits,
-    ) -> Result<MachineStep<AnyOutcome>, AnalysisError> {
-        Ok(match self {
-            AnyMachine::Sup(machine) => match machine.step(batches, limits)? {
-                MachineStep::Pending => MachineStep::Pending,
-                MachineStep::Overflow => MachineStep::Overflow,
-                MachineStep::Done((sup, pruned)) => MachineStep::Done(AnyOutcome::Sup(sup, pruned)),
-            },
-            AnyMachine::Fits(machine) => match machine.step(batches, limits)? {
-                MachineStep::Pending => MachineStep::Pending,
-                MachineStep::Overflow => MachineStep::Overflow,
-                MachineStep::Done((fits, pruned)) => {
-                    MachineStep::Done(AnyOutcome::Fits(fits, pruned))
-                }
-            },
-        })
-    }
-}
-
 /// Drives `live` machines round-robin, [`LOCKSTEP_CHUNK`] breakpoint
-/// batches per machine per round, until all finish. Each machine writes
-/// its slot: `Some(Ok)` on completion, `Some(Err)` on a budget error,
-/// and leaves `None` on integer overflow — the caller then runs the
-/// exact rational fallback for those slots.
+/// batches per machine per round (through `step`, the machines' own
+/// resumable step), until all finish. Each machine writes its slot:
+/// `Some(Ok)` with a lockstep trace on completion, `Some(Err)` on a
+/// budget error, and leaves `None` on integer overflow — the caller then
+/// runs the exact rational fallback for those slots.
 ///
 /// Every machine carries its own limits, and per-walk state (`examined`
 /// counts, budget checks) is tracked per machine, so results are
 /// bit-identical to driving each machine alone — the interleaving
-/// affects cache behavior only.
-pub(crate) fn drive_lockstep(
-    mut live: Vec<(usize, AnyMachine, &AnalysisLimits)>,
-    slots: &mut [Option<Result<AnyOutcome, AnalysisError>>],
+/// affects cache behavior only. The machines live inline in the
+/// short-lived batch vector, so a lockstep walk allocates no machine of
+/// its own.
+fn drive_lockstep<M, T>(
+    mut live: Vec<(usize, M, &AnalysisLimits)>,
+    slots: &mut [Option<Result<(T, WalkTrace), AnalysisError>>],
+    step: impl Fn(&mut M, usize, &AnalysisLimits) -> Result<MachineStep<(T, bool)>, AnalysisError>,
 ) {
     while !live.is_empty() {
         live.retain_mut(
-            |(i, machine, limits)| match machine.step(LOCKSTEP_CHUNK, limits) {
+            |(i, machine, limits)| match step(machine, LOCKSTEP_CHUNK, limits) {
                 Ok(MachineStep::Pending) => true,
-                Ok(MachineStep::Done(outcome)) => {
-                    slots[*i] = Some(Ok(outcome));
+                Ok(MachineStep::Done((result, pruned))) => {
+                    slots[*i] = Some(Ok((result, WalkTrace::lockstep(pruned))));
                     false
                 }
                 Ok(MachineStep::Overflow) => false,
@@ -1402,9 +1340,54 @@ pub(crate) fn drive_lockstep(
     }
 }
 
-/// [`DemandProfile::sup_ratio_traced`] over many profiles at once,
-/// advancing all integer fast-path walks in chunked lockstep for cache
-/// locality. Results (and errors) are bit-identical to querying each
+/// The lockstep half of [`sup_ratio_many`]: every query's integer
+/// fast-path walk, driven in chunked lockstep under its own limits.
+/// A slot is `None` where the profile has no fast path or it overflowed,
+/// and the exact fallback is left to the caller.
+pub(crate) fn sup_ratio_lockstep(
+    queries: &[(&DemandProfile, &AnalysisLimits)],
+) -> Vec<Option<Result<(SupRatio, WalkTrace), AnalysisError>>> {
+    let mut slots: Vec<_> = queries.iter().map(|_| None).collect();
+    let live = queries
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &(profile, limits))| {
+            let machine = SupRatioMachine::new(profile.scaled()?, limits)?;
+            Some((i, machine, limits))
+        })
+        .collect();
+    drive_lockstep(live, &mut slots, SupRatioMachine::step);
+    slots
+}
+
+/// The lockstep half of [`fits_many`], as [`sup_ratio_lockstep`] is of
+/// [`sup_ratio_many`]; a non-positive speed fills its slot with
+/// [`AnalysisError::NonPositiveSpeed`] without walking.
+pub(crate) fn fits_lockstep(
+    queries: &[(&DemandProfile, Rational, &AnalysisLimits)],
+) -> Vec<Option<Result<(bool, WalkTrace), AnalysisError>>> {
+    let mut slots: Vec<_> = queries.iter().map(|_| None).collect();
+    let mut live = Vec::new();
+    for (i, &(profile, speed, limits)) in queries.iter().enumerate() {
+        if !speed.is_positive() {
+            slots[i] = Some(Err(AnalysisError::NonPositiveSpeed));
+            continue;
+        }
+        if let Some(machine) = profile
+            .scaled()
+            .and_then(|s| FitsMachine::new(s, speed, limits))
+        {
+            live.push((i, machine, limits));
+        }
+    }
+    drive_lockstep(live, &mut slots, FitsMachine::step);
+    slots
+}
+
+/// [`DemandProfile::sup_ratio_traced`] over many `(profile, limits)`
+/// queries at once, advancing all integer fast-path walks in chunked
+/// lockstep for cache locality. Each walk runs under its own query's
+/// limits. Results (and errors) are bit-identical to querying each
 /// profile on its own; profiles whose fast path overflows (or is absent)
 /// fall back to the exact rational walk afterwards, exactly as the
 /// sequential query would. The returned traces report `lockstep: true`
@@ -1414,103 +1397,34 @@ pub(crate) fn drive_lockstep(
 ///
 /// Per slot, as for [`DemandProfile::sup_ratio`].
 pub fn sup_ratio_many(
-    profiles: &[&DemandProfile],
-    limits: &AnalysisLimits,
+    queries: &[(&DemandProfile, &AnalysisLimits)],
 ) -> Vec<Result<(SupRatio, WalkTrace), AnalysisError>> {
-    let mut slots: Vec<Option<Result<AnyOutcome, AnalysisError>>> =
-        (0..profiles.len()).map(|_| None).collect();
-    let live = profiles
-        .iter()
-        .enumerate()
-        .filter_map(|(i, profile)| {
-            let machine = SupRatioMachine::new(profile.scaled()?, limits)?;
-            Some((i, AnyMachine::Sup(machine), limits))
-        })
-        .collect();
-    drive_lockstep(live, &mut slots);
-    profiles
-        .iter()
-        .zip(slots)
-        .map(|(profile, slot)| match slot {
-            Some(Ok(AnyOutcome::Sup(sup, pruned))) => Ok((
-                sup,
-                WalkTrace {
-                    kind: WalkKind::Integer,
-                    pruned,
-                    lockstep: true,
-                },
-            )),
-            Some(Ok(AnyOutcome::Fits(..))) => unreachable!("sup machines yield sup outcomes"),
-            Some(Err(error)) => Err(error),
-            None => profile.sup_ratio_exact_traced(limits).map(|(sup, pruned)| {
-                (
-                    sup,
-                    WalkTrace {
-                        kind: WalkKind::Rational,
-                        pruned,
-                        lockstep: false,
-                    },
-                )
-            }),
+    sup_ratio_lockstep(queries)
+        .into_iter()
+        .zip(queries)
+        .map(|(slot, &(profile, limits))| {
+            slot.unwrap_or_else(|| fast_or_exact(None, || profile.sup_ratio_exact_traced(limits)))
         })
         .collect()
 }
 
-/// [`DemandProfile::fits_traced`] over many `(profile, speed)` queries at
-/// once, advancing all integer fast-path walks in chunked lockstep — the
-/// batch counterpart of [`sup_ratio_many`], with the same bit-identity
-/// contract.
+/// [`DemandProfile::fits_traced`] over many `(profile, speed, limits)`
+/// queries at once, advancing all integer fast-path walks in chunked
+/// lockstep — the batch counterpart of [`sup_ratio_many`], with the same
+/// per-query limits and bit-identity contract.
 ///
 /// # Errors
 ///
 /// Per slot, as for [`DemandProfile::fits`] (including
 /// [`AnalysisError::NonPositiveSpeed`] for that slot's speed).
 pub fn fits_many(
-    queries: &[(&DemandProfile, Rational)],
-    limits: &AnalysisLimits,
+    queries: &[(&DemandProfile, Rational, &AnalysisLimits)],
 ) -> Vec<Result<(bool, WalkTrace), AnalysisError>> {
-    let mut slots: Vec<Option<Result<AnyOutcome, AnalysisError>>> =
-        (0..queries.len()).map(|_| None).collect();
-    let mut live = Vec::new();
-    for (i, (profile, speed)) in queries.iter().enumerate() {
-        if !speed.is_positive() {
-            slots[i] = Some(Err(AnalysisError::NonPositiveSpeed));
-            continue;
-        }
-        if let Some(machine) = profile
-            .scaled()
-            .and_then(|s| FitsMachine::new(s, *speed, limits))
-        {
-            live.push((i, AnyMachine::Fits(machine), limits));
-        }
-    }
-    drive_lockstep(live, &mut slots);
-    queries
-        .iter()
-        .zip(slots)
-        .map(|((profile, speed), slot)| match slot {
-            Some(Ok(AnyOutcome::Fits(fits, pruned))) => Ok((
-                fits,
-                WalkTrace {
-                    kind: WalkKind::Integer,
-                    pruned,
-                    lockstep: true,
-                },
-            )),
-            Some(Ok(AnyOutcome::Sup(..))) => unreachable!("fits machines yield fits outcomes"),
-            Some(Err(error)) => Err(error),
-            None => profile
-                .fits_exact_traced(*speed, limits)
-                .map(|(fits, pruned)| {
-                    (
-                        fits,
-                        WalkTrace {
-                            kind: WalkKind::Rational,
-                            pruned,
-                            lockstep: false,
-                        },
-                    )
-                }),
+    fits_lockstep(queries)
+        .into_iter()
+        .zip(queries)
+        .map(|(slot, &(profile, speed, limits))| {
+            slot.unwrap_or_else(|| fast_or_exact(None, || profile.fits_exact_traced(speed, limits)))
         })
         .collect()
 }

@@ -13,7 +13,7 @@ use rbs_json::{Json, JsonError, ToJson};
 use rbs_model::{ImplicitTaskSpec, TaskSet};
 use rbs_timebase::Rational;
 
-use crate::analysis::{Analysis, AnalysisScratch};
+use crate::analysis::{Analysis, AnalysisScratch, WalkCounts};
 use crate::delta::{DeltaAnalysis, DeltaError, DeltaOp};
 use crate::kernel::with_arena;
 use crate::lo_mode::minimal_feasible_x;
@@ -42,57 +42,82 @@ pub struct AnalyzeReport {
     pub sized_speed: Option<Rational>,
 }
 
-/// Walk-implementation statistics for one [`analyze_with_meta`] call —
-/// observability data that never feeds back into the report itself.
+/// [`WalkCounts`] under the field names a service response's `walks`
+/// carries (see `rbs_svc::Outcome::Report`). Each counter is documented
+/// on the [`WalkCounts`] field it converts to and from; both conversions
+/// spell out every field of both types, so a counter added to either
+/// fails to compile until it is mapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnalyzeMeta {
-    /// Breakpoint walks served by the integer fast path.
+    /// [`WalkCounts::integer`].
     pub integer_walks: u64,
-    /// Breakpoint walks that fell back to the exact rational path.
+    /// [`WalkCounts::exact`].
     pub exact_walks: u64,
-    /// Walks that terminated early at the utilization-envelope horizon.
+    /// [`WalkCounts::pruned`].
     pub pruned_walks: u64,
-    /// Resetting-time queries answered from the cached reset frontier
-    /// without walking (not counted in `integer_walks`/`exact_walks`).
+    /// [`WalkCounts::avoided`].
     pub avoided_walks: u64,
-    /// Demand components reused from an earlier sweep grid point instead
-    /// of being rebuilt (always `0` for single-point analyses).
+    /// [`WalkCounts::reused_components`].
     pub reused_components: u64,
-    /// Demand components built, including the initial profile
-    /// construction.
+    /// [`WalkCounts::rebuilt_components`].
     pub rebuilt_components: u64,
-    /// Walks served by a chunked multi-profile lockstep batch (each also
-    /// counted in `integer_walks`).
+    /// [`WalkCounts::lockstep`].
     pub lockstep_walks: u64,
-    /// Demand profiles updated by an in-place patch of the integer fast
-    /// path — the sweep engine's per-`y` rescales and the delta engine's
-    /// admit/evict/replace splices (always `0` for single-point
-    /// analyses).
+    /// [`WalkCounts::patched`].
     pub patched_profiles: u64,
-    /// Deltas whose reset frontier survived (possibly truncated) instead
-    /// of being dropped wholesale (always `0` for single-point analyses).
+    /// [`WalkCounts::repaired`].
     pub repaired_frontiers: u64,
-    /// Frontier records kept across those repairs.
+    /// [`WalkCounts::kept`].
     pub kept_records: u64,
-    /// Deltas that invalidated the frontier and forced the next `Δ_R`
-    /// query to walk again.
+    /// [`WalkCounts::rewalked`].
     pub rewalked_frontiers: u64,
 }
 
-impl AnalyzeMeta {
-    fn from_counts(counts: crate::analysis::WalkCounts) -> AnalyzeMeta {
+impl From<WalkCounts> for AnalyzeMeta {
+    fn from(counts: WalkCounts) -> AnalyzeMeta {
+        let WalkCounts {
+            integer,
+            exact,
+            pruned,
+            avoided,
+            reused_components,
+            rebuilt_components,
+            lockstep,
+            patched,
+            repaired,
+            kept,
+            rewalked,
+        } = counts;
         AnalyzeMeta {
-            integer_walks: counts.integer,
-            exact_walks: counts.exact,
-            pruned_walks: counts.pruned,
-            avoided_walks: counts.avoided,
-            reused_components: counts.reused_components,
-            rebuilt_components: counts.rebuilt_components,
-            lockstep_walks: counts.lockstep,
-            patched_profiles: counts.patched,
-            repaired_frontiers: counts.repaired,
-            kept_records: counts.kept,
-            rewalked_frontiers: counts.rewalked,
+            integer_walks: integer,
+            exact_walks: exact,
+            pruned_walks: pruned,
+            avoided_walks: avoided,
+            reused_components,
+            rebuilt_components,
+            lockstep_walks: lockstep,
+            patched_profiles: patched,
+            repaired_frontiers: repaired,
+            kept_records: kept,
+            rewalked_frontiers: rewalked,
+        }
+    }
+}
+
+impl From<AnalyzeMeta> for WalkCounts {
+    fn from(meta: AnalyzeMeta) -> WalkCounts {
+        WalkCounts {
+            integer: meta.integer_walks,
+            exact: meta.exact_walks,
+            pruned: meta.pruned_walks,
+            avoided: meta.avoided_walks,
+            reused_components: meta.reused_components,
+            rebuilt_components: meta.rebuilt_components,
+            lockstep: meta.lockstep_walks,
+            patched: meta.patched_profiles,
+            repaired: meta.repaired_frontiers,
+            kept: meta.kept_records,
+            rewalked: meta.rewalked_frontiers,
         }
     }
 }
@@ -107,7 +132,7 @@ pub fn analyze(set: TaskSet, limits: &AnalysisLimits) -> Result<AnalyzeReport, A
     analyze_with_meta(set, limits).map(|(report, _)| report)
 }
 
-/// [`analyze`] plus walk statistics ([`AnalyzeMeta`]). The report is
+/// [`analyze`] plus walk statistics ([`WalkCounts`]). The report is
 /// byte-for-byte the one [`analyze`] returns; all queries share one
 /// [`Analysis`] context (each demand profile is built exactly once).
 ///
@@ -117,7 +142,7 @@ pub fn analyze(set: TaskSet, limits: &AnalysisLimits) -> Result<AnalyzeReport, A
 pub fn analyze_with_meta(
     set: TaskSet,
     limits: &AnalysisLimits,
-) -> Result<(AnalyzeReport, AnalyzeMeta), AnalysisError> {
+) -> Result<(AnalyzeReport, WalkCounts), AnalysisError> {
     let ctx = Analysis::new(&set, limits);
     let result = run_queries(&ctx);
     drop(ctx);
@@ -138,7 +163,7 @@ pub fn analyze_with_meta_in(
     set: TaskSet,
     limits: &AnalysisLimits,
     scratch: &mut AnalysisScratch,
-) -> Result<(AnalyzeReport, AnalyzeMeta), AnalysisError> {
+) -> Result<(AnalyzeReport, WalkCounts), AnalysisError> {
     let (arena, result) = with_arena(std::mem::take(&mut scratch.arena), || {
         let ctx = Analysis::new_with_scratch(&set, limits, scratch);
         let result = run_queries(&ctx);
@@ -175,10 +200,9 @@ impl ReportParts {
     }
 }
 
-fn run_queries(ctx: &Analysis) -> Result<(ReportParts, AnalyzeMeta), AnalysisError> {
+fn run_queries(ctx: &Analysis) -> Result<(ReportParts, WalkCounts), AnalysisError> {
     let parts = query_parts(ctx)?;
-    let meta = AnalyzeMeta::from_counts(ctx.walk_counts());
-    Ok((parts, meta))
+    Ok((parts, ctx.walk_counts()))
 }
 
 /// The query pass behind [`run_queries`], without the walk-count
@@ -400,7 +424,7 @@ impl ToJson for SweepReport {
 pub fn run_sweep(
     grid: &SweepGrid,
     limits: &AnalysisLimits,
-) -> Result<Option<(SweepReport, AnalyzeMeta)>, AnalysisError> {
+) -> Result<Option<(SweepReport, WalkCounts)>, AnalysisError> {
     run_sweep_in(grid, limits, &mut AnalysisScratch::new())
 }
 
@@ -419,11 +443,11 @@ pub fn run_sweep_in(
     grid: &SweepGrid,
     limits: &AnalysisLimits,
     scratch: &mut AnalysisScratch,
-) -> Result<Option<(SweepReport, AnalyzeMeta)>, AnalysisError> {
+) -> Result<Option<(SweepReport, WalkCounts)>, AnalysisError> {
     let Some(x) = grid.x.or_else(|| minimal_feasible_x(&grid.specs)) else {
         return Ok(None);
     };
-    let (arena, (result, meta)) = with_arena(std::mem::take(&mut scratch.arena), || {
+    let (arena, (result, counts)) = with_arena(std::mem::take(&mut scratch.arena), || {
         let mut sweep = SweepAnalysis::new_in(
             &grid.specs,
             x,
@@ -433,12 +457,12 @@ pub fn run_sweep_in(
             scratch,
         );
         let result = sweep_points(&mut sweep, &grid.ys, &grid.speeds);
-        let meta = AnalyzeMeta::from_counts(sweep.walk_counts());
+        let counts = sweep.walk_counts();
         sweep.recycle_into(scratch);
-        (result, meta)
+        (result, counts)
     });
     scratch.arena = arena;
-    Ok(Some((SweepReport { x, points: result? }, meta)))
+    Ok(Some((SweepReport { x, points: result? }, counts)))
 }
 
 fn sweep_points(
@@ -590,8 +614,8 @@ impl From<AnalysisError> for DeltaRunError {
 /// [`AnalyzeReport`] of the resulting set — byte-for-byte the report
 /// [`analyze`] would emit for that set, so service caches keyed on the
 /// resulting set's canonical form can share entries between the two
-/// request kinds. The returned [`AnalyzeMeta`] additionally carries the
-/// splice accounting (`patched_profiles`, reused/rebuilt components).
+/// request kinds. The returned [`WalkCounts`] additionally carry the
+/// splice accounting (`patched`, reused/rebuilt components).
 ///
 /// # Errors
 ///
@@ -601,7 +625,7 @@ pub fn run_delta(
     base: TaskSet,
     ops: &[DeltaOp],
     limits: &AnalysisLimits,
-) -> Result<(AnalyzeReport, AnalyzeMeta), DeltaRunError> {
+) -> Result<(AnalyzeReport, WalkCounts), DeltaRunError> {
     run_delta_in(base, ops, limits, &mut AnalysisScratch::new())
 }
 
@@ -617,7 +641,7 @@ pub fn run_delta_in(
     ops: &[DeltaOp],
     limits: &AnalysisLimits,
     scratch: &mut AnalysisScratch,
-) -> Result<(AnalyzeReport, AnalyzeMeta), DeltaRunError> {
+) -> Result<(AnalyzeReport, WalkCounts), DeltaRunError> {
     let (arena, result) = with_arena(std::mem::take(&mut scratch.arena), || {
         let mut delta = DeltaAnalysis::new(base, limits);
         // One composite splice for the whole request: opposing ops
@@ -626,8 +650,8 @@ pub fn run_delta_in(
         // bit-identical by the delta differential suite.
         delta.apply_batch(ops.to_vec())?;
         let parts = delta.with_analysis(query_parts)?;
-        let meta = AnalyzeMeta::from_counts(delta.walk_counts());
-        Ok((parts.into_report(delta.into_set()), meta))
+        let counts = delta.walk_counts();
+        Ok((parts.into_report(delta.into_set()), counts))
     });
     scratch.arena = arena;
     result

@@ -20,7 +20,7 @@
 //! [`SweepAnalysis::rescale_lo`] patches the LO-task components of the
 //! `DBF_HI`/`ADB_HI` profiles in place — including their integer
 //! fast-path forms, on a timebase chosen once over the whole `y` grid
-//! (see [`crate::scaled`]) — instead of rebuilding the profiles. The
+//! (see the `scaled` module) — instead of rebuilding the profiles. The
 //! `sup_ratio` horizon bookkeeping and the reset frontier are
 //! re-derived per grid point (the frontier still answers an entire `s`
 //! sweep by lookup, exactly like [`crate::analysis::Analysis`]).
@@ -69,11 +69,10 @@ use rbs_timebase::{lcm_i128, Rational};
 
 use crate::analysis::{AnalysisScratch, WalkCounts};
 use crate::demand::{
-    drive_lockstep, AnyMachine, AnyOutcome, DemandProfile, PeriodicDemand, ResetFrontier, SupRatio,
-    WalkKind, WalkTrace,
+    fits_many, sup_ratio_many, DemandProfile, PeriodicDemand, ResetFrontier, SupRatio, WalkTrace,
 };
 use crate::resetting::ResettingAnalysis;
-use crate::scaled::{FitsMachine, ScaledProfile, SupRatioMachine};
+use crate::scaled::ScaledProfile;
 use crate::speedup::SpeedupAnalysis;
 use crate::{AnalysisError, AnalysisLimits};
 
@@ -118,14 +117,8 @@ pub struct SweepAnalysis {
     lo: DemandProfile,
     hi: DemandProfile,
     arrival: DemandProfile,
-    integer_walks: u64,
-    exact_walks: u64,
-    pruned_walks: u64,
-    avoided_walks: u64,
-    reused_components: u64,
-    rebuilt_components: u64,
-    lockstep_walks: u64,
-    patched_profiles: u64,
+    /// Cumulative counters across every grid point.
+    counts: WalkCounts,
     /// Reused backing store for the per-`y` patch lists built by
     /// [`SweepAnalysis::rescale_lo`], so rescaling allocates nothing in
     /// the steady state.
@@ -327,14 +320,10 @@ impl SweepAnalysis {
             lo: DemandProfile::new(lo_components),
             hi: DemandProfile::from_parts(hi_components, hi_scaled),
             arrival: DemandProfile::from_parts(arrival_components, arrival_scaled),
-            integer_walks: 0,
-            exact_walks: 0,
-            pruned_walks: 0,
-            avoided_walks: 0,
-            reused_components: 0,
-            rebuilt_components,
-            lockstep_walks: 0,
-            patched_profiles: 0,
+            counts: WalkCounts {
+                rebuilt_components,
+                ..WalkCounts::default()
+            },
             patch_buffer: scratch.lease(),
             frontier: None,
         }
@@ -390,7 +379,7 @@ impl SweepAnalysis {
             + self.arrival.components().len()) as u64;
         if y == self.y || self.lo_indices.is_empty() {
             self.y = y;
-            self.reused_components += total;
+            self.counts.reused_components += total;
             return;
         }
         self.y = y;
@@ -411,7 +400,7 @@ impl SweepAnalysis {
         self.patch_profile(Profile::Arrival, &patched);
         patched.clear();
         self.patch_buffer = patched;
-        self.reused_components += self.lo.components().len() as u64;
+        self.counts.reused_components += self.lo.components().len() as u64;
     }
 
     fn patch_profile(&mut self, which: Profile, patched: &[PeriodicDemand]) {
@@ -422,27 +411,14 @@ impl SweepAnalysis {
         let total = profile.components().len() as u64;
         let moved = self.lo_indices.len() as u64;
         if profile.patch_components(&self.lo_indices, patched) {
-            self.rebuilt_components += moved;
-            self.reused_components += total - moved;
-            self.patched_profiles += 1;
+            self.counts.rebuilt_components += moved;
+            self.counts.reused_components += total - moved;
+            self.counts.patched += 1;
         } else {
             // The grid timebase missed this `y`: the rational components
             // are still patched, but the integer fast path was rebuilt
             // from scratch, so count the whole profile as rebuilt.
-            self.rebuilt_components += total;
-        }
-    }
-
-    fn record(&mut self, trace: WalkTrace) {
-        match trace.kind {
-            WalkKind::Integer => self.integer_walks += 1,
-            WalkKind::Rational => self.exact_walks += 1,
-        }
-        if trace.pruned {
-            self.pruned_walks += 1;
-        }
-        if trace.lockstep {
-            self.lockstep_walks += 1;
+            self.counts.rebuilt_components += total;
         }
     }
 
@@ -451,27 +427,14 @@ impl SweepAnalysis {
     /// reused/rebuilt component tallies across all grid points.
     #[must_use]
     pub fn walk_counts(&self) -> WalkCounts {
-        WalkCounts {
-            integer: self.integer_walks,
-            exact: self.exact_walks,
-            pruned: self.pruned_walks,
-            avoided: self.avoided_walks,
-            reused_components: self.reused_components,
-            rebuilt_components: self.rebuilt_components,
-            lockstep: self.lockstep_walks,
-            patched: self.patched_profiles,
-            repaired: 0,
-            kept: 0,
-            rewalked: 0,
-        }
+        self.counts
     }
 
-    /// [`SweepAnalysis::minimum_speedup`] across many contexts at once:
-    /// the integer fast-path walks of all `sweeps` advance in one
-    /// chunked lockstep batch (see [`crate::demand::sup_ratio_many`] for
-    /// the chunking rule) instead of running to completion one profile
-    /// at a time. Contexts without a fast path — or whose fast path
-    /// overflows mid-walk — fall back to their usual sequential query.
+    /// [`SweepAnalysis::minimum_speedup`] across many contexts at once,
+    /// through [`crate::demand::sup_ratio_many`]: the integer fast-path
+    /// walks of all `sweeps` advance in one chunked lockstep batch, each
+    /// under its own context's limits, instead of running to completion
+    /// one profile at a time.
     ///
     /// Returns one result per context, in order, each bit-identical to
     /// that context's own [`SweepAnalysis::minimum_speedup`]; walk
@@ -481,37 +444,11 @@ impl SweepAnalysis {
     pub fn minimum_speedup_many(
         sweeps: &mut [&mut SweepAnalysis],
     ) -> Vec<Result<SpeedupAnalysis, AnalysisError>> {
-        let mut slots: Vec<Option<Result<AnyOutcome, AnalysisError>>> =
-            sweeps.iter().map(|_| None).collect();
-        let mut live = Vec::with_capacity(sweeps.len());
-        for (slot, sweep) in sweeps.iter().enumerate() {
-            if let Some(machine) = sweep
-                .hi
-                .scaled()
-                .and_then(|s| SupRatioMachine::new(s, &sweep.limits))
-            {
-                live.push((slot, AnyMachine::Sup(machine), &sweep.limits));
-            }
-        }
-        drive_lockstep(live, &mut slots);
-        sweeps
-            .iter_mut()
-            .zip(slots)
-            .map(|(sweep, slot)| match slot {
-                Some(Ok(AnyOutcome::Sup(sup, pruned))) => {
-                    sweep.record(WalkTrace {
-                        kind: WalkKind::Integer,
-                        pruned,
-                        lockstep: true,
-                    });
-                    Ok(SpeedupAnalysis::from_sup_ratio(sup))
-                }
-                Some(Ok(AnyOutcome::Fits(..))) => {
-                    unreachable!("sup-ratio machines produce sup-ratio outcomes")
-                }
-                Some(Err(err)) => Err(err),
-                None => sweep.minimum_speedup(),
-            })
+        let queries: Vec<_> = sweeps.iter().map(|s| (&s.hi, &s.limits)).collect();
+        let results = sup_ratio_many(&queries);
+        SweepAnalysis::record_each(sweeps, results)
+            .into_iter()
+            .map(|result| result.map(SpeedupAnalysis::from_sup_ratio))
             .collect()
     }
 
@@ -521,7 +458,12 @@ impl SweepAnalysis {
     pub fn is_lo_schedulable_many(
         sweeps: &mut [&mut SweepAnalysis],
     ) -> Vec<Result<bool, AnalysisError>> {
-        SweepAnalysis::fits_many_inner(sweeps, FitsTarget::Lo, Rational::ONE)
+        let queries: Vec<_> = sweeps
+            .iter()
+            .map(|s| (&s.lo, Rational::ONE, &s.limits))
+            .collect();
+        let results = fits_many(&queries);
+        SweepAnalysis::record_each(sweeps, results)
     }
 
     /// [`SweepAnalysis::is_hi_schedulable`] at `speed` across many
@@ -531,54 +473,23 @@ impl SweepAnalysis {
         sweeps: &mut [&mut SweepAnalysis],
         speed: Rational,
     ) -> Vec<Result<bool, AnalysisError>> {
-        SweepAnalysis::fits_many_inner(sweeps, FitsTarget::Hi, speed)
+        let queries: Vec<_> = sweeps.iter().map(|s| (&s.hi, speed, &s.limits)).collect();
+        let results = fits_many(&queries);
+        SweepAnalysis::record_each(sweeps, results)
     }
 
-    fn fits_many_inner(
+    /// Records each batched walk on the context it answered for.
+    fn record_each<T>(
         sweeps: &mut [&mut SweepAnalysis],
-        target: FitsTarget,
-        speed: Rational,
-    ) -> Vec<Result<bool, AnalysisError>> {
-        let mut slots: Vec<Option<Result<AnyOutcome, AnalysisError>>> =
-            sweeps.iter().map(|_| None).collect();
-        // A non-positive speed is an argument error the sequential query
-        // reports without walking; leave every slot to the fallback.
-        if speed.is_positive() {
-            let mut live = Vec::with_capacity(sweeps.len());
-            for (slot, sweep) in sweeps.iter().enumerate() {
-                let profile = match target {
-                    FitsTarget::Lo => &sweep.lo,
-                    FitsTarget::Hi => &sweep.hi,
-                };
-                if let Some(machine) = profile
-                    .scaled()
-                    .and_then(|s| FitsMachine::new(s, speed, &sweep.limits))
-                {
-                    live.push((slot, AnyMachine::Fits(machine), &sweep.limits));
-                }
-            }
-            drive_lockstep(live, &mut slots);
-        }
+        results: Vec<Result<(T, WalkTrace), AnalysisError>>,
+    ) -> Vec<Result<T, AnalysisError>> {
         sweeps
             .iter_mut()
-            .zip(slots)
-            .map(|(sweep, slot)| match slot {
-                Some(Ok(AnyOutcome::Fits(fits, pruned))) => {
-                    sweep.record(WalkTrace {
-                        kind: WalkKind::Integer,
-                        pruned,
-                        lockstep: true,
-                    });
-                    Ok(fits)
-                }
-                Some(Ok(AnyOutcome::Sup(..))) => {
-                    unreachable!("fits machines produce fits outcomes")
-                }
-                Some(Err(err)) => Err(err),
-                None => match target {
-                    FitsTarget::Lo => sweep.is_lo_schedulable(),
-                    FitsTarget::Hi => sweep.is_hi_schedulable(speed),
-                },
+            .zip(results)
+            .map(|(sweep, result)| {
+                let (value, trace) = result?;
+                sweep.counts.record(trace);
+                Ok(value)
             })
             .collect()
     }
@@ -591,7 +502,7 @@ impl SweepAnalysis {
     /// As for [`crate::speedup::minimum_speedup`].
     pub fn minimum_speedup(&mut self) -> Result<SpeedupAnalysis, AnalysisError> {
         let (sup, trace) = self.hi.sup_ratio_traced(&self.limits)?;
-        self.record(trace);
+        self.counts.record(trace);
         Ok(SpeedupAnalysis::from_sup_ratio(sup))
     }
 
@@ -603,7 +514,7 @@ impl SweepAnalysis {
     /// As for [`crate::speedup::is_hi_schedulable`].
     pub fn is_hi_schedulable(&mut self, speed: Rational) -> Result<bool, AnalysisError> {
         let (fits, trace) = self.hi.fits_traced(speed, &self.limits)?;
-        self.record(trace);
+        self.counts.record(trace);
         Ok(fits)
     }
 
@@ -621,15 +532,11 @@ impl SweepAnalysis {
     pub fn resetting_time(&mut self, speed: Rational) -> Result<ResettingAnalysis, AnalysisError> {
         if speed > self.arrival.rate() {
             if let Some(fit) = self.frontier.as_ref().and_then(|f| f.lookup(speed)) {
-                self.avoided_walks += 1;
+                self.counts.avoided += 1;
                 return Ok(ResettingAnalysis::from_first_fit(fit, speed));
             }
             let (frontier, kind) = self.arrival.reset_frontier(speed, &self.limits)?;
-            self.record(WalkTrace {
-                kind,
-                pruned: false,
-                lockstep: false,
-            });
+            self.counts.record(WalkTrace::solo(kind, false));
             let fit = frontier
                 .lookup(speed)
                 .expect("a frontier built for `speed` covers it");
@@ -637,7 +544,7 @@ impl SweepAnalysis {
             return Ok(ResettingAnalysis::from_first_fit(fit, speed));
         }
         let (fit, trace) = self.arrival.first_fit_traced(speed, &self.limits)?;
-        self.record(trace);
+        self.counts.record(trace);
         Ok(ResettingAnalysis::from_first_fit(fit, speed))
     }
 
@@ -650,7 +557,7 @@ impl SweepAnalysis {
     /// As for [`crate::lo_mode::is_lo_schedulable`].
     pub fn is_lo_schedulable(&mut self) -> Result<bool, AnalysisError> {
         let (fits, trace) = self.lo.fits_traced(Rational::ONE, &self.limits)?;
-        self.record(trace);
+        self.counts.record(trace);
         Ok(fits)
     }
 
@@ -663,7 +570,7 @@ impl SweepAnalysis {
     /// As for [`crate::lo_mode::lo_speed_requirement`].
     pub fn lo_speed_requirement(&mut self) -> Result<Rational, AnalysisError> {
         let (sup, trace) = self.lo.sup_ratio_traced(&self.limits)?;
-        self.record(trace);
+        self.counts.record(trace);
         match sup {
             SupRatio::Finite { value, .. } => Ok(value),
             SupRatio::Unbounded => unreachable!("DBF_LO(0) = 0 for validated tasks"),
@@ -676,13 +583,6 @@ impl SweepAnalysis {
 enum Profile {
     Hi,
     Arrival,
-}
-
-/// Which profile a batched fits query walks.
-#[derive(Clone, Copy)]
-enum FitsTarget {
-    Lo,
-    Hi,
 }
 
 #[cfg(test)]
@@ -856,6 +756,9 @@ mod tests {
         ];
         let limits = AnalysisLimits::default();
         let ys = [Rational::ONE, Rational::TWO];
+        // The zero speed is an argument error: answered per context
+        // without a walk, in the batch exactly as in the sequential query.
+        let speeds = [Rational::ONE, rat(3, 2), Rational::ZERO];
         for &y in &ys {
             let build = |specs: &[ImplicitTaskSpec]| {
                 let mut sweep =
@@ -863,22 +766,46 @@ mod tests {
                 sweep.rescale_lo(y);
                 sweep
             };
-            let mut solo_a = build(&specs_a);
-            let mut solo_b = build(&specs_b);
-            let expected_a = solo_a.minimum_speedup().expect("ok");
-            let expected_b = solo_b.minimum_speedup().expect("ok");
-            let mut batched_a = build(&specs_a);
-            let mut batched_b = build(&specs_b);
-            let mut refs = [&mut batched_a, &mut batched_b];
-            let results = SweepAnalysis::minimum_speedup_many(&mut refs);
-            assert_eq!(results[0].as_ref().expect("ok"), &expected_a);
-            assert_eq!(results[1].as_ref().expect("ok"), &expected_b);
+            let mut solo = [build(&specs_a), build(&specs_b)];
+            let mut batched = [build(&specs_a), build(&specs_b)];
+
+            let expected: Vec<_> = solo.iter_mut().map(|s| s.minimum_speedup()).collect();
+            let mut refs: Vec<&mut SweepAnalysis> = batched.iter_mut().collect();
+            assert_eq!(SweepAnalysis::minimum_speedup_many(&mut refs), expected);
+
+            let expected: Vec<_> = solo.iter_mut().map(|s| s.is_lo_schedulable()).collect();
+            let mut refs: Vec<&mut SweepAnalysis> = batched.iter_mut().collect();
+            assert_eq!(SweepAnalysis::is_lo_schedulable_many(&mut refs), expected);
+
+            for &s in &speeds {
+                let expected: Vec<_> = solo.iter_mut().map(|c| c.is_hi_schedulable(s)).collect();
+                let mut refs: Vec<&mut SweepAnalysis> = batched.iter_mut().collect();
+                assert_eq!(
+                    SweepAnalysis::is_hi_schedulable_many(&mut refs, s),
+                    expected,
+                    "y = {y}, s = {s}"
+                );
+                if !s.is_positive() {
+                    assert_eq!(expected[0], Err(AnalysisError::NonPositiveSpeed));
+                }
+            }
+
             // The batch records the same walks as the sequential path,
-            // tagged as lockstep-served.
-            assert_eq!(batched_a.walk_counts().integer, 1);
-            assert_eq!(batched_a.walk_counts().lockstep, 1);
-            assert_eq!(batched_b.walk_counts().lockstep, 1);
-            assert_eq!(solo_a.walk_counts().lockstep, 0);
+            // each tagged as lockstep-served.
+            for (solo, batched) in solo.iter().zip(&batched) {
+                let (solo, batched) = (solo.walk_counts(), batched.walk_counts());
+                assert_eq!(solo.lockstep, 0);
+                assert!(batched.integer > 0);
+                assert_eq!(batched.lockstep, batched.integer, "y = {y}");
+                assert_eq!(
+                    WalkCounts {
+                        lockstep: 0,
+                        ..batched
+                    },
+                    solo,
+                    "y = {y}"
+                );
+            }
         }
     }
 

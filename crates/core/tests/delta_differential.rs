@@ -159,6 +159,13 @@ fn assert_checkpoint(
     ctx.walk_counts()
 }
 
+/// The invariants every set of walk counters keeps.
+fn assert_counts_consistent(w: WalkCounts) {
+    assert!(w.pruned <= w.integer + w.exact, "{w:?}");
+    assert!(w.lockstep <= w.integer, "{w:?}");
+    assert!(w.kept == 0 || w.repaired > 0, "{w:?}");
+}
+
 fn fresh_name(next_id: &mut usize) -> String {
     let name = format!("t{next_id}");
     *next_id += 1;
@@ -290,7 +297,9 @@ fn churn(feed: Feed, lane: Lane, seed: u64, cases: usize, steps: usize) {
                 &limits,
                 &format!("{case} step {step}"),
             ));
+            assert_counts_consistent(delta.walk_counts());
         }
+        assert_counts_consistent(fresh);
         // Walk outcomes, not just answers: a churned profile stays on
         // the same fast-path/exact split a fresh context picks, and
         // frontier repair can only *save* walks — every query the delta
@@ -569,7 +578,7 @@ fn run_delta_reports_are_byte_identical_to_fresh_analyze() {
         for op in &ops {
             op.apply_to(&mut resulting).expect("ops apply");
         }
-        let (report, meta) = run_delta(base, &ops, &limits).expect("completes");
+        let (report, counts) = run_delta(base, &ops, &limits).expect("completes");
         let fresh = analyze(resulting, &limits).expect("completes");
         assert_eq!(report, fresh, "case {case}: reports diverge");
         assert_eq!(
@@ -580,7 +589,7 @@ fn run_delta_reports_are_byte_identical_to_fresh_analyze() {
         // The delta run did real incremental work: the admit landed as
         // either an in-place patch or a counted rebuild, never silently.
         assert!(
-            meta.patched_profiles > 0 || meta.rebuilt_components > 0,
+            counts.patched > 0 || counts.rebuilt_components > 0,
             "case {case}: no profile accounting"
         );
     }

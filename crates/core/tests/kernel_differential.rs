@@ -80,8 +80,8 @@ fn sup_ratio_many_matches_per_profile_queries() {
         let profiles: Vec<DemandProfile> = (0..rng.gen_range_usize(1, 12))
             .map(|_| arb_profile(&mut rng, 5))
             .collect();
-        let refs: Vec<&DemandProfile> = profiles.iter().collect();
-        let batched = sup_ratio_many(&refs, &limits);
+        let refs: Vec<_> = profiles.iter().map(|p| (p, &limits)).collect();
+        let batched = sup_ratio_many(&refs);
         assert_eq!(batched.len(), profiles.len());
         for (slot, (profile, result)) in profiles.iter().zip(&batched).enumerate() {
             let solo = profile.sup_ratio(&limits);
@@ -108,11 +108,11 @@ fn fits_many_matches_per_profile_queries() {
         let queries: Vec<(DemandProfile, Rational)> = (0..rng.gen_range_usize(1, 12))
             .map(|_| (arb_profile(&mut rng, 4), rat(rng.gen_range_i128(1, 40), 8)))
             .collect();
-        let refs: Vec<(&DemandProfile, Rational)> = queries
+        let refs: Vec<_> = queries
             .iter()
-            .map(|(profile, speed)| (profile, *speed))
+            .map(|(profile, speed)| (profile, *speed, &limits))
             .collect();
-        let batched = fits_many(&refs, &limits);
+        let batched = fits_many(&refs);
         for (slot, ((profile, speed), result)) in queries.iter().zip(&batched).enumerate() {
             let solo = profile.fits(*speed, &limits);
             assert_eq!(
@@ -136,8 +136,8 @@ fn fast_path_batches_report_lockstep_traces() {
     let limits = AnalysisLimits::default();
     let profiles: Vec<DemandProfile> = (0..8).map(|_| arb_profile(&mut rng, 4)).collect();
     assert!(profiles.iter().all(DemandProfile::has_fast_path));
-    let refs: Vec<&DemandProfile> = profiles.iter().collect();
-    for result in sup_ratio_many(&refs, &limits) {
+    let refs: Vec<_> = profiles.iter().map(|p| (p, &limits)).collect();
+    for result in sup_ratio_many(&refs) {
         let (_, trace) = result.expect("fast-path batch completes");
         assert_eq!(trace.kind, WalkKind::Integer);
         assert!(trace.lockstep, "fast-path slot must run in lockstep");
@@ -151,8 +151,8 @@ fn batches_larger_than_the_lockstep_chunk_stay_bit_identical() {
     let mut rng = Rng::seed_from_u64(0xba7c_0004);
     let limits = AnalysisLimits::default();
     let profiles: Vec<DemandProfile> = (0..150).map(|_| arb_profile(&mut rng, 4)).collect();
-    let refs: Vec<&DemandProfile> = profiles.iter().collect();
-    let batched = sup_ratio_many(&refs, &limits);
+    let refs: Vec<_> = profiles.iter().map(|p| (p, &limits)).collect();
+    let batched = sup_ratio_many(&refs);
     assert_eq!(batched.len(), 150);
     for (slot, (profile, result)) in profiles.iter().zip(&batched).enumerate() {
         assert_eq!(
@@ -176,7 +176,7 @@ fn overflow_boundary_slots_fall_back_inside_a_batch() {
     let unscalable = no_fast_path_profile();
     let bailing = mid_walk_overflow_profile();
     let profiles = [&healthy_a, &unscalable, &bailing, &healthy_b];
-    let batched = sup_ratio_many(&profiles, &limits);
+    let batched = sup_ratio_many(&profiles.map(|p| (p, &limits)));
     for (slot, (profile, result)) in profiles.iter().zip(&batched).enumerate() {
         assert_eq!(
             result.as_ref().map(|(sup, _)| *sup).map_err(Clone::clone),
@@ -202,8 +202,8 @@ fn budget_errors_match_per_slot_under_tight_limits() {
         let profiles: Vec<DemandProfile> = (0..rng.gen_range_usize(2, 8))
             .map(|_| arb_profile(&mut rng, 4))
             .collect();
-        let refs: Vec<&DemandProfile> = profiles.iter().collect();
-        let batched = sup_ratio_many(&refs, &limits);
+        let refs: Vec<_> = profiles.iter().map(|p| (p, &limits)).collect();
+        let batched = sup_ratio_many(&refs);
         for (slot, (profile, result)) in profiles.iter().zip(&batched).enumerate() {
             assert_eq!(
                 result.as_ref().map(|(sup, _)| *sup).map_err(Clone::clone),
@@ -226,13 +226,23 @@ fn coprime_budget_exhaustion_is_identical_in_batch() {
         solo,
         Err(AnalysisError::BreakpointBudgetExhausted { .. })
     ));
-    let batched = sup_ratio_many(&[&profile, &profile], &limits);
-    for result in &batched {
+    // Each slot walks under its own limits: the roomy one completes.
+    let roomy = AnalysisLimits::default();
+    let batched = sup_ratio_many(&[(&profile, &limits), (&profile, &limits), (&profile, &roomy)]);
+    for result in &batched[..2] {
         assert_eq!(
             result.as_ref().map(|(sup, _)| *sup).map_err(Clone::clone),
             solo
         );
     }
+    assert_eq!(
+        batched[2]
+            .as_ref()
+            .map(|(sup, _)| *sup)
+            .map_err(Clone::clone),
+        profile.sup_ratio(&roomy)
+    );
+    assert!(batched[2].is_ok());
 }
 
 #[test]
@@ -246,7 +256,7 @@ fn non_positive_speeds_error_per_slot_in_fits_many() {
         (&good, int(-2)),
         (&good, Rational::TWO),
     ];
-    let batched = fits_many(&queries, &limits);
+    let batched = fits_many(&queries.map(|(profile, speed)| (profile, speed, &limits)));
     for ((profile, speed), result) in queries.iter().zip(&batched) {
         assert_eq!(
             result.as_ref().map(|(fits, _)| *fits).map_err(Clone::clone),

@@ -9,7 +9,9 @@
 use rbs_core::lo_mode::minimal_feasible_x;
 use rbs_core::resetting::ResettingBound;
 use rbs_core::speedup::SpeedupBound;
-use rbs_core::{run_sweep, Analysis, AnalysisLimits, SweepAnalysis, SweepGrid, SweepMode};
+use rbs_core::{
+    run_sweep, Analysis, AnalysisLimits, SweepAnalysis, SweepGrid, SweepMode, WalkCounts,
+};
 use rbs_model::{scaled_task_set, ImplicitTaskSpec, ScalingFactors, TaskSet};
 use rbs_rng::Rng;
 use rbs_timebase::Rational;
@@ -94,11 +96,19 @@ fn assert_grid_matches(
             );
         }
         let counts = ctx.walk_counts();
+        assert_counts_consistent(counts);
         walks += counts.integer + counts.exact;
         pruned += counts.pruned;
         avoided += counts.avoided;
     }
     (walks, pruned, avoided)
+}
+
+/// The invariants every set of walk counters keeps.
+fn assert_counts_consistent(w: WalkCounts) {
+    assert!(w.pruned <= w.integer + w.exact, "{w:?}");
+    assert!(w.lockstep <= w.integer, "{w:?}");
+    assert!(w.kept == 0 || w.repaired > 0, "{w:?}");
 }
 
 #[test]
@@ -136,6 +146,7 @@ fn random_grids_match_fresh_contexts_bit_identically() {
         // walks the fresh contexts run, prunes the same ones, and
         // answers the same resetting queries from its frontier.
         let counts = sweep.walk_counts();
+        assert_counts_consistent(counts);
         assert_eq!(
             counts.integer + counts.exact,
             walks,

@@ -6,7 +6,7 @@
 //! whose descriptor count is bounded by the connection cap. On unix the
 //! syscall is declared directly against libc (which `std` already links)
 //! so the workspace stays free of external crates; the single `unsafe`
-//! call lives in the [`sys`] module with the safety argument spelled
+//! call lives in the private `sys` module with the safety argument spelled
 //! out. Elsewhere the [`Poller`] degrades to a short timed tick that
 //! reports every watch ready at its requested interest — correct (all
 //! sockets are nonblocking, a spurious wakeup costs one `WouldBlock`)

@@ -37,8 +37,9 @@ where error kind is one of parse|limits|timeout|panic|oversized|overload
 (overload is shed by the rbs-netd front-end, never this binary), and a
 summary footer (request counters, error taxonomy, cache hits, walk and
 component-reuse counters, latency percentiles) goes to stderr. Sweep
-responses report infeasible spec lists as {\"infeasible\":true} and carry
-\"reused\"/\"rebuilt\" component counts in their \"walks\" block.
+responses report infeasible spec lists as {\"infeasible\":true}. Fresh
+analyses carry their walk and component-reuse counters in a \"walks\"
+block; cache hits omit it.
 
 modes:
   (default)       batch: read all of INPUT, answer every request, exit

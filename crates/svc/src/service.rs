@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 use rbs_core::{
     analyze_with_meta_in, run_delta_in, run_sweep_in, AnalysisError, AnalysisLimits,
     AnalysisScratch, AnalyzeMeta, DeltaBase, DeltaOp, DeltaRequest, DeltaRunError, SweepGrid,
+    WalkCounts,
 };
 use rbs_json::{FromJson, Json, ToJson};
 use rbs_model::{CanonicalTaskSet, ImplicitTaskSpec, TaskSet};
@@ -366,20 +367,11 @@ impl Response {
                     ""
                 };
                 let walks = match walks {
-                    Some(meta) => format!(
-                        ",\"walks\":{{\"integer\":{},\"exact\":{},\"pruned\":{},\"avoided\":{},\"reused\":{},\"rebuilt\":{},\"lockstep\":{},\"patched\":{},\"repaired\":{},\"kept\":{},\"rewalked\":{}}}",
-                        meta.integer_walks,
-                        meta.exact_walks,
-                        meta.pruned_walks,
-                        meta.avoided_walks,
-                        meta.reused_components,
-                        meta.rebuilt_components,
-                        meta.lockstep_walks,
-                        meta.patched_profiles,
-                        meta.repaired_frontiers,
-                        meta.kept_records,
-                        meta.rewalked_frontiers
-                    ),
+                    Some(meta) => {
+                        let fields = wire_walks((*meta).into())
+                            .map(|(name, value)| format!("\"{name}\":{value}"));
+                        format!(",\"walks\":{{{}}}", fields.join(","))
+                    }
                     None => String::new(),
                 };
                 format!(
@@ -433,6 +425,56 @@ impl ErrorCounters {
     pub fn total(&self) -> usize {
         self.parse + self.limits + self.timeout + self.panic + self.oversized + self.overload
     }
+
+    /// Adds every counter of `other` into `self`.
+    pub fn absorb(&mut self, other: ErrorCounters) {
+        let ErrorCounters {
+            parse,
+            limits,
+            timeout,
+            panic,
+            oversized,
+            overload,
+        } = other;
+        self.parse += parse;
+        self.limits += limits;
+        self.timeout += timeout;
+        self.panic += panic;
+        self.oversized += oversized;
+        self.overload += overload;
+    }
+}
+
+/// The walk counters under their wire names, in wire order — the one
+/// table behind both a response's `walks` object and the footer's
+/// `walks{…}` group.
+fn wire_walks(counts: WalkCounts) -> [(&'static str, u64); 11] {
+    let WalkCounts {
+        integer,
+        exact,
+        pruned,
+        avoided,
+        reused_components,
+        rebuilt_components,
+        lockstep,
+        patched,
+        repaired,
+        kept,
+        rewalked,
+    } = counts;
+    [
+        ("integer", integer),
+        ("exact", exact),
+        ("pruned", pruned),
+        ("avoided", avoided),
+        ("reused", reused_components),
+        ("rebuilt", rebuilt_components),
+        ("lockstep", lockstep),
+        ("patched", patched),
+        ("repaired", repaired),
+        ("kept", kept),
+        ("rewalked", rewalked),
+    ]
 }
 
 /// Counters and per-request latencies for one batch (or, in `--follow`
@@ -455,44 +497,8 @@ pub struct BatchStats {
     pub coalesced: usize,
     /// Analyses actually executed (misses after in-batch coalescing).
     pub analyzed: usize,
-    /// Breakpoint walks served by the integer fast path, summed over the
-    /// executed analyses.
-    pub integer_walks: u64,
-    /// Breakpoint walks that fell back to the exact rational path,
-    /// summed over the executed analyses.
-    pub exact_walks: u64,
-    /// Walks that terminated early at the utilization-envelope horizon,
-    /// summed over the executed analyses.
-    pub pruned_walks: u64,
-    /// Resetting-time queries answered from a cached reset frontier
-    /// without walking, summed over the executed analyses.
-    pub avoided_walks: u64,
-    /// Demand components reused across sweep grid points instead of being
-    /// rebuilt, summed over the executed analyses. Zero for single-set
-    /// requests — only the incremental sweep engine reuses components.
-    pub reused_components: u64,
-    /// Demand components built (initial construction plus `rescale_lo`
-    /// patches), summed over the executed analyses.
-    pub rebuilt_components: u64,
-    /// Integer-fast-path walks answered by the chunked lockstep driver
-    /// (several profiles' event streams advanced together), summed over
-    /// the executed analyses. Each is also counted in
-    /// [`Self::integer_walks`] — this reports how many of those walks
-    /// ran batched rather than one at a time.
-    pub lockstep_walks: u64,
-    /// Demand profiles updated by an in-place patch (sweep rescales and
-    /// delta splices), summed over the executed analyses. Zero for
-    /// single-set requests.
-    pub patched_profiles: u64,
-    /// Deltas whose reset frontier survived (possibly truncated) a
-    /// splice, summed over the executed analyses.
-    pub repaired_frontiers: u64,
-    /// Frontier records kept across those repairs, summed over the
-    /// executed analyses.
-    pub kept_records: u64,
-    /// Deltas that dropped the frontier and forced a re-walk, summed
-    /// over the executed analyses.
-    pub rewalked_frontiers: u64,
+    /// Walk counters summed over the executed analyses.
+    pub walks: WalkCounts,
     /// Per-request service time in microseconds (parse + analysis share),
     /// indexed by `seq` within the batch.
     pub latencies_micros: Vec<u64>,
@@ -505,27 +511,12 @@ impl BatchStats {
     pub fn absorb(&mut self, other: &BatchStats) {
         self.served += other.served;
         self.ok += other.ok;
-        self.errors.parse += other.errors.parse;
-        self.errors.limits += other.errors.limits;
-        self.errors.timeout += other.errors.timeout;
-        self.errors.panic += other.errors.panic;
-        self.errors.oversized += other.errors.oversized;
-        self.errors.overload += other.errors.overload;
+        self.errors.absorb(other.errors);
         self.cache_hits += other.cache_hits;
         self.negative_hits += other.negative_hits;
         self.coalesced += other.coalesced;
         self.analyzed += other.analyzed;
-        self.integer_walks += other.integer_walks;
-        self.exact_walks += other.exact_walks;
-        self.pruned_walks += other.pruned_walks;
-        self.avoided_walks += other.avoided_walks;
-        self.reused_components += other.reused_components;
-        self.rebuilt_components += other.rebuilt_components;
-        self.lockstep_walks += other.lockstep_walks;
-        self.patched_profiles += other.patched_profiles;
-        self.repaired_frontiers += other.repaired_frontiers;
-        self.kept_records += other.kept_records;
-        self.rewalked_frontiers += other.rewalked_frontiers;
+        self.walks.absorb(other.walks);
         self.latencies_micros
             .extend_from_slice(&other.latencies_micros);
     }
@@ -538,6 +529,8 @@ impl BatchStats {
         let p50 = median(&sorted);
         let p99 = percentile(&sorted, 99);
         let max = sorted.last().copied().unwrap_or(0);
+        let walks = wire_walks(self.walks).map(|(name, value)| format!("{name}={value}"));
+        let walks = walks.join(" ");
         let mean = if sorted.is_empty() {
             0
         } else {
@@ -547,7 +540,7 @@ impl BatchStats {
         format!(
             "rbs-svc: served={} ok={} errors{{total={} parse={} limits={} timeout={} panic={} oversized={} overload={}}} \
              cache{{hits={} negative={}}} coalesced={} analyzed={} jobs={jobs} \
-             walks{{integer={} exact={} pruned={} avoided={} reused={} rebuilt={} lockstep={} patched={} repaired={} kept={} rewalked={}}} latency_micros{{p50={p50} p99={p99} mean={mean} max={max}}}",
+             walks{{{walks}}} latency_micros{{p50={p50} p99={p99} mean={mean} max={max}}}",
             self.served,
             self.ok,
             self.errors.total(),
@@ -561,17 +554,6 @@ impl BatchStats {
             self.negative_hits,
             self.coalesced,
             self.analyzed,
-            self.integer_walks,
-            self.exact_walks,
-            self.pruned_walks,
-            self.avoided_walks,
-            self.reused_components,
-            self.rebuilt_components,
-            self.lockstep_walks,
-            self.patched_profiles,
-            self.repaired_frontiers,
-            self.kept_records,
-            self.rewalked_frontiers
         )
     }
 }
@@ -781,7 +763,7 @@ impl Service {
         let canonicals: Vec<CanonicalTaskSet> =
             pending.iter().map(|job| job.canonical.clone()).collect();
         let config = self.config;
-        type JobResult<R> = (Result<(R, AnalyzeMeta), SvcError>, u64);
+        type JobResult<R> = (Result<(R, WalkCounts), SvcError>, u64);
         let results: Vec<JobResult<String>> = self
             .pool
             .run_ordered_scoped_caught(
@@ -800,7 +782,7 @@ impl Service {
                                 inject_faults(&set);
                             }
                             analyze_with_meta_in(set, &limits, scratch)
-                                .map(|(report, meta)| (rbs_json::to_string(&report), meta))
+                                .map(|(report, counts)| (rbs_json::to_string(&report), counts))
                                 .map_err(|error| SvcError::from_analysis(&error))
                         }
                         Job::Delta { base, ops } => {
@@ -820,7 +802,7 @@ impl Service {
                                 }
                             }
                             run_delta_in((*base).clone(), &ops, &limits, scratch)
-                                .map(|(report, meta)| (rbs_json::to_string(&report), meta))
+                                .map(|(report, counts)| (rbs_json::to_string(&report), counts))
                                 .map_err(|error| match error {
                                     // Op validation re-runs inside the worker;
                                     // triage already vetted the sequence, so
@@ -840,11 +822,13 @@ impl Service {
                             }
                             run_sweep_in(&grid, &limits, scratch)
                                 .map(|swept| match swept {
-                                    Some((report, meta)) => (rbs_json::to_string(&report), meta),
+                                    Some((report, counts)) => {
+                                        (rbs_json::to_string(&report), counts)
+                                    }
                                     // No density-feasible x at any y: a stable
                                     // verdict, cacheable like any report.
                                     None => {
-                                        ("{\"infeasible\":true}".to_owned(), AnalyzeMeta::default())
+                                        ("{\"infeasible\":true}".to_owned(), WalkCounts::default())
                                     }
                                 })
                                 .map_err(|error| SvcError::from_analysis(&error))
@@ -859,21 +843,7 @@ impl Service {
                             // independent either way).
                             rbs_partition::partition_with(&set, &spec, &WorkerPool::new(1), &limits)
                                 .map(|outcome| {
-                                    let walks = outcome.walks();
-                                    let meta = AnalyzeMeta {
-                                        integer_walks: walks.integer,
-                                        exact_walks: walks.exact,
-                                        pruned_walks: walks.pruned,
-                                        avoided_walks: walks.avoided,
-                                        reused_components: walks.reused_components,
-                                        rebuilt_components: walks.rebuilt_components,
-                                        lockstep_walks: walks.lockstep,
-                                        patched_profiles: walks.patched,
-                                        repaired_frontiers: walks.repaired,
-                                        kept_records: walks.kept,
-                                        rewalked_frontiers: walks.rewalked,
-                                    };
-                                    (rbs_json::to_string(&outcome.to_json()), meta)
+                                    (rbs_json::to_string(&outcome.to_json()), outcome.walks())
                                 })
                                 .map_err(|error| SvcError::from_analysis(&error))
                         }
@@ -899,26 +869,16 @@ impl Service {
             .into_iter()
             .map(|(outcome, micros)| {
                 (
-                    outcome.map(|(report_json, meta)| (Arc::<str>::from(report_json), meta)),
+                    outcome.map(|(report_json, counts)| (Arc::<str>::from(report_json), counts)),
                     micros,
                 )
             })
             .collect();
         for (canonical, (outcome, _)) in canonicals.iter().zip(&results) {
             match outcome {
-                Ok((report_json, meta)) => {
+                Ok((report_json, counts)) => {
                     self.cache.insert(canonical, Arc::clone(report_json));
-                    stats.integer_walks += meta.integer_walks;
-                    stats.exact_walks += meta.exact_walks;
-                    stats.pruned_walks += meta.pruned_walks;
-                    stats.avoided_walks += meta.avoided_walks;
-                    stats.reused_components += meta.reused_components;
-                    stats.rebuilt_components += meta.rebuilt_components;
-                    stats.lockstep_walks += meta.lockstep_walks;
-                    stats.patched_profiles += meta.patched_profiles;
-                    stats.repaired_frontiers += meta.repaired_frontiers;
-                    stats.kept_records += meta.kept_records;
-                    stats.rewalked_frontiers += meta.rewalked_frontiers;
+                    stats.walks.absorb(*counts);
                 }
                 Err(error) => {
                     // Every post-parse failure (limits, timeout, panic) is
@@ -949,11 +909,11 @@ impl Service {
                             charged[job] = true;
                         }
                         match result {
-                            Ok((report_json, meta)) => Outcome::Report {
+                            Ok((report_json, counts)) => Outcome::Report {
                                 hash: canonicals[job].to_string(),
                                 cached: false,
                                 coalesced,
-                                walks: Some(*meta),
+                                walks: Some((*counts).into()),
                                 report_json: Arc::clone(report_json),
                             },
                             Err(error) => Outcome::Error {
@@ -1281,6 +1241,11 @@ mod tests {
             served: 2,
             ok: 1,
             cache_hits: 1,
+            walks: WalkCounts {
+                integer: 3,
+                kept: 1,
+                ..WalkCounts::default()
+            },
             latencies_micros: vec![10, 20],
             ..BatchStats::default()
         };
@@ -1288,11 +1253,65 @@ mod tests {
         total.absorb(&one);
         total.absorb(&one);
         assert_eq!(total.served, 4);
+        assert_eq!((total.walks.integer, total.walks.kept), (6, 2));
         assert_eq!(total.ok, 2);
         assert_eq!(total.errors.panic, 2);
         assert_eq!(total.latencies_micros, vec![10, 20, 10, 20]);
         let footer = total.footer(4);
         assert!(footer.contains("errors{total=2"), "{footer}");
         assert!(footer.contains("p99="), "{footer}");
+    }
+
+    /// The response `walks` object and the footer, pinned byte for byte
+    /// with every counter distinct, so a renderer change that reorders,
+    /// renames or drops a field cannot pass unnoticed.
+    #[test]
+    fn walk_counters_render_pinned_wire_bytes() {
+        let walks = WalkCounts {
+            integer: 1,
+            exact: 2,
+            pruned: 3,
+            avoided: 4,
+            reused_components: 5,
+            rebuilt_components: 6,
+            lockstep: 7,
+            patched: 8,
+            repaired: 9,
+            kept: 10,
+            rewalked: 11,
+        };
+        let response = Response {
+            seq: 3,
+            label: "stdin:3".to_owned(),
+            micros: 42,
+            outcome: Outcome::Report {
+                hash: "00abcdef00000001".to_owned(),
+                cached: false,
+                coalesced: true,
+                walks: Some(walks.into()),
+                report_json: Arc::from("{}"),
+            },
+        };
+        assert_eq!(
+            response.render(),
+            "{\"seq\":3,\"hash\":\"00abcdef00000001\",\"cached\":false,\"coalesced\":true,\"micros\":42,\"walks\":{\"integer\":1,\"exact\":2,\"pruned\":3,\"avoided\":4,\"reused\":5,\"rebuilt\":6,\"lockstep\":7,\"patched\":8,\"repaired\":9,\"kept\":10,\"rewalked\":11},\"report\":{}}"
+        );
+        let mut stats = BatchStats {
+            served: 7,
+            ok: 5,
+            cache_hits: 2,
+            negative_hits: 1,
+            coalesced: 1,
+            analyzed: 3,
+            walks,
+            latencies_micros: vec![10, 20, 30, 40],
+            ..BatchStats::default()
+        };
+        stats.errors.bump(SvcErrorKind::Parse);
+        stats.errors.bump(SvcErrorKind::Timeout);
+        assert_eq!(
+            stats.footer(4),
+            "rbs-svc: served=7 ok=5 errors{total=2 parse=1 limits=0 timeout=1 panic=0 oversized=0 overload=0} cache{hits=2 negative=1} coalesced=1 analyzed=3 jobs=4 walks{integer=1 exact=2 pruned=3 avoided=4 reused=5 rebuilt=6 lockstep=7 patched=8 repaired=9 kept=10 rewalked=11} latency_micros{p50=25 p99=40 mean=25 max=40}"
+        );
     }
 }

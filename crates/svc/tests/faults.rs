@@ -201,8 +201,8 @@ fn poisoned_sweep_requests_share_the_error_taxonomy() {
     assert_eq!(stats.errors.panic, 1);
     assert_eq!(stats.errors.timeout, 1);
     // The healthy sweep reports the incremental engine's reuse counters.
-    assert!(stats.reused_components > 0, "{stats:?}");
-    assert!(stats.rebuilt_components > 0, "{stats:?}");
+    assert!(stats.walks.reused_components > 0, "{stats:?}");
+    assert!(stats.walks.rebuilt_components > 0, "{stats:?}");
     // Poisoned sweeps are negative-cached like poisoned task sets.
     let (again, stats) = svc.process_batch(&[sweep_request("boom", FAULT_PANIC_TASK)]);
     assert_eq!(stats.analyzed, 0);
@@ -352,7 +352,7 @@ fn partition_requests_are_served_poisoned_and_cached() {
     assert_eq!(stats.ok, 2);
     assert_eq!(stats.errors.panic, 1);
     // The placement ran real walks, surfaced through the footer counters.
-    assert!(stats.integer_walks + stats.exact_walks > 0, "{stats:?}");
+    assert!(stats.walks.integer + stats.walks.exact > 0, "{stats:?}");
     // Resubmission answers from the result cache without re-partitioning.
     let (again, stats) = svc.process_batch(&[fit]);
     assert_eq!(stats.analyzed, 0);

@@ -2,7 +2,7 @@
 //! `rbs_core::analyze` call renders, and resubmissions must be cache hits
 //! with the identical report.
 
-use rbs_core::{analyze, AnalysisLimits};
+use rbs_core::{analyze, AnalysisLimits, WalkCounts};
 use rbs_model::TaskSet;
 use rbs_svc::{read_source, Outcome, Request, Service, WorkerPool};
 
@@ -12,6 +12,13 @@ fn workloads_dir() -> String {
 
 fn service(jobs: usize) -> Service {
     Service::new(WorkerPool::new(jobs), 64, AnalysisLimits::default())
+}
+
+/// The invariants every set of walk counters keeps.
+fn assert_counts_consistent(w: WalkCounts) {
+    assert!(w.pruned <= w.integer + w.exact, "{w:?}");
+    assert!(w.lockstep <= w.integer, "{w:?}");
+    assert!(w.kept == 0 || w.repaired > 0, "{w:?}");
 }
 
 #[test]
@@ -166,14 +173,16 @@ fn walk_counters_are_reported_and_deterministic() {
         );
         total.0 += meta.integer_walks;
         total.1 += meta.exact_walks;
+        assert_counts_consistent(meta.into());
         let line = response.render();
         assert!(line.contains("\"walks\":{\"integer\":"), "{line}");
         assert!(line.contains("\"micros\":"), "{line}");
     }
-    assert_eq!((stats.integer_walks, stats.exact_walks), total);
+    assert_eq!((stats.walks.integer, stats.walks.exact), total);
+    assert_counts_consistent(stats.walks);
     // Cache hits carry no walk stats (no analysis ran) ...
     let (second, stats) = svc.process_batch(&requests);
-    assert_eq!((stats.integer_walks, stats.exact_walks), (0, 0));
+    assert_eq!((stats.walks.integer, stats.walks.exact), (0, 0));
     for response in &second {
         let Outcome::Report { walks, .. } = &response.outcome else {
             panic!("expected a report");
@@ -183,7 +192,7 @@ fn walk_counters_are_reported_and_deterministic() {
     }
     // ... and re-analyzing from scratch reproduces the exact counts.
     let (_, again) = service(1).process_batch(&requests);
-    assert_eq!((again.integer_walks, again.exact_walks), total);
+    assert_eq!((again.walks.integer, again.walks.exact), total);
 }
 
 #[test]

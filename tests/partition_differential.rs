@@ -106,6 +106,13 @@ fn examined(w: WalkCounts) -> [u64; 5] {
     [w.integer, w.exact, w.pruned, w.avoided, w.lockstep]
 }
 
+/// The invariants every set of walk counters keeps.
+fn assert_counts_consistent(w: WalkCounts) {
+    assert!(w.pruned <= w.integer + w.exact, "{w:?}");
+    assert!(w.lockstep <= w.integer, "{w:?}");
+    assert!(w.kept == 0 || w.repaired > 0, "{w:?}");
+}
+
 /// Per-core task names, preserving core order.
 fn assignment(p: &Partition) -> Vec<Vec<String>> {
     p.cores()
@@ -137,6 +144,8 @@ fn assert_engines_agree(outcome: &PartitionOutcome, reference: &PartitionOutcome
             reference.is_fit()
         ),
     }
+    assert_counts_consistent(outcome.walks());
+    assert_counts_consistent(reference.walks());
     assert_eq!(
         examined(outcome.walks()),
         examined(reference.walks()),

@@ -97,10 +97,11 @@ pub struct WalkCounts {
     /// Demand components constructed (or re-derived after a patch miss),
     /// including the initial profile builds.
     pub rebuilt_components: u64,
-    /// Walks completed by a chunked multi-profile lockstep driver
-    /// (interleaved with other walks for cache locality) rather than a
-    /// dedicated one-shot walk. Every lockstep walk is also counted in
-    /// [`Self::integer`], so this is not part of [`Self::total`].
+    /// Walks completed by the chunked lockstep driver rather than a
+    /// dedicated one-shot walk, whether interleaved with other walks for
+    /// cache locality or alone in a batch of one ([`Analysis`]'s LO fits
+    /// prime). Every lockstep walk is also counted in [`Self::integer`],
+    /// so this is not part of [`Self::total`].
     pub lockstep: u64,
     /// Profile updates applied by an in-place patch of the integer fast
     /// path (no full rebuild): the sweep engine's `rescale_lo` hits and

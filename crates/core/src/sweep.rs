@@ -791,12 +791,15 @@ mod tests {
             }
 
             // The batch records the same walks as the sequential path,
-            // each tagged as lockstep-served.
+            // each tagged as lockstep-served: one supremum, one LO fits
+            // and one HI fits per positive speed, all on the integer
+            // path (the zero speed walks nothing).
             for (solo, batched) in solo.iter().zip(&batched) {
                 let (solo, batched) = (solo.walk_counts(), batched.walk_counts());
                 assert_eq!(solo.lockstep, 0);
-                assert!(batched.integer > 0);
-                assert_eq!(batched.lockstep, batched.integer, "y = {y}");
+                assert_eq!(batched.exact, 0, "y = {y}");
+                assert_eq!(batched.integer, 4, "y = {y}");
+                assert_eq!(batched.lockstep, 4, "y = {y}");
                 assert_eq!(
                     WalkCounts {
                         lockstep: 0,

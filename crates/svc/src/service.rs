@@ -33,6 +33,7 @@
 //! take the batch (or the daemon) down.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -366,18 +367,19 @@ impl Response {
                 } else {
                     ""
                 };
-                let walks = match walks {
-                    Some(meta) => {
-                        let fields = wire_walks((*meta).into())
-                            .map(|(name, value)| format!("\"{name}\":{value}"));
-                        format!(",\"walks\":{{{}}}", fields.join(","))
-                    }
-                    None => String::new(),
-                };
-                format!(
-                    "{{\"seq\":{},\"hash\":\"{hash}\",\"cached\":{cached}{coalesced},\"micros\":{}{walks},\"report\":{report_json}}}",
+                let mut line = String::with_capacity(report_json.len() + 256);
+                let _ = write!(
+                    line,
+                    "{{\"seq\":{},\"hash\":\"{hash}\",\"cached\":{cached}{coalesced},\"micros\":{}",
                     self.seq, self.micros
-                )
+                );
+                if let Some(meta) = walks {
+                    line.push_str(",\"walks\":{");
+                    write_walks(&mut line, (*meta).into(), "\"", ':', ',');
+                    line.push('}');
+                }
+                let _ = write!(line, ",\"report\":{report_json}}}");
+                line
             }
             Outcome::Error { error, cached } => format!(
                 "{{\"seq\":{},\"source\":{},\"cached\":{cached},\"micros\":{},\"error\":{}}}",
@@ -445,10 +447,11 @@ impl ErrorCounters {
     }
 }
 
-/// The walk counters under their wire names, in wire order — the one
-/// table behind both a response's `walks` object and the footer's
-/// `walks{…}` group.
-fn wire_walks(counts: WalkCounts) -> [(&'static str, u64); 11] {
+/// Appends the walk counters under their wire names, in wire order, as
+/// `sep`-separated `{quote}name{quote}{eq}value` pairs — the one table
+/// behind both a response's `walks` object and the footer's `walks{…}`
+/// group.
+fn write_walks(out: &mut String, counts: WalkCounts, quote: &str, eq: char, sep: char) {
     let WalkCounts {
         integer,
         exact,
@@ -462,7 +465,7 @@ fn wire_walks(counts: WalkCounts) -> [(&'static str, u64); 11] {
         kept,
         rewalked,
     } = counts;
-    [
+    let table = [
         ("integer", integer),
         ("exact", exact),
         ("pruned", pruned),
@@ -474,7 +477,13 @@ fn wire_walks(counts: WalkCounts) -> [(&'static str, u64); 11] {
         ("repaired", repaired),
         ("kept", kept),
         ("rewalked", rewalked),
-    ]
+    ];
+    for (i, (name, value)) in table.into_iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        let _ = write!(out, "{quote}{name}{quote}{eq}{value}");
+    }
 }
 
 /// Counters and per-request latencies for one batch (or, in `--follow`
@@ -529,8 +538,8 @@ impl BatchStats {
         let p50 = median(&sorted);
         let p99 = percentile(&sorted, 99);
         let max = sorted.last().copied().unwrap_or(0);
-        let walks = wire_walks(self.walks).map(|(name, value)| format!("{name}={value}"));
-        let walks = walks.join(" ");
+        let mut walks = String::with_capacity(160);
+        write_walks(&mut walks, self.walks, "", '=', ' ');
         let mean = if sorted.is_empty() {
             0
         } else {

@@ -92,11 +92,11 @@ mod splice_buf;
 
 pub use analysis::{Analysis, AnalysisScratch, WalkCounts};
 pub use config::AnalysisLimits;
-pub use delta::{DeltaAnalysis, DeltaError, DeltaOp};
+pub use delta::{DeltaAnalysis, DeltaError, DeltaOp, DeltaPlan};
 pub use error::AnalysisError;
 pub use report::{
     analyze, analyze_with_meta, analyze_with_meta_in, run_delta, run_delta_in, run_sweep,
-    run_sweep_in, AnalyzeMeta, AnalyzeReport, DeltaBase, DeltaRequest, DeltaRunError, SweepGrid,
-    SweepPoint, SweepReport,
+    run_sweep_in, AnalyzeMeta, AnalyzeReport, DeltaBase, DeltaRequest, SweepGrid, SweepPoint,
+    SweepReport,
 };
 pub use sweep::{SweepAnalysis, SweepMode};

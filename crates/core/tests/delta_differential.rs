@@ -11,7 +11,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use rbs_core::{
-    analyze, run_delta, Analysis, AnalysisError, AnalysisLimits, DeltaAnalysis, DeltaOp, WalkCounts,
+    analyze, run_delta, Analysis, AnalysisError, AnalysisLimits, DeltaAnalysis, DeltaOp, DeltaPlan,
+    WalkCounts,
 };
 use rbs_model::{Criticality, Task, TaskSet};
 use rbs_rng::Rng;
@@ -21,6 +22,7 @@ const CASES: usize = 48;
 const OPS_PER_CASE: usize = 8;
 const BATCH_CASES_PER_LANE: usize = 12;
 const BATCHES_PER_CASE: usize = 6;
+const PLAN_CASES: usize = 256;
 
 fn int(v: i128) -> Rational {
     Rational::integer(v)
@@ -578,7 +580,8 @@ fn run_delta_reports_are_byte_identical_to_fresh_analyze() {
         for op in &ops {
             op.apply_to(&mut resulting).expect("ops apply");
         }
-        let (report, counts) = run_delta(base, &ops, &limits).expect("completes");
+        let plan = DeltaPlan::resolve(&base, ops).expect("ops resolve");
+        let (report, counts) = run_delta(base, &plan, &limits).expect("completes");
         let fresh = analyze(resulting, &limits).expect("completes");
         assert_eq!(report, fresh, "case {case}: reports diverge");
         assert_eq!(
@@ -593,4 +596,124 @@ fn run_delta_reports_are_byte_identical_to_fresh_analyze() {
             "case {case}: no profile accounting"
         );
     }
+}
+
+/// Inserts one op into `ops` at a random position where it must fail
+/// against the set the ops before it leave: an evict or a replace of an
+/// unknown name, a duplicate admit, or a replace renamed onto another
+/// live name. The ops before it are untouched, so it is the first
+/// failing op.
+fn insert_invalid_op(rng: &mut Rng, next_id: &mut usize, base: &TaskSet, ops: &mut Vec<DeltaOp>) {
+    let at = rng.gen_range_usize(0, ops.len());
+    let mut live = base.clone();
+    for op in &ops[..at] {
+        op.apply_to(&mut live).expect("drawn prefix applies");
+    }
+    let names: Vec<String> = live.iter().map(|t| t.name().to_owned()).collect();
+    let pick = |rng: &mut Rng| names[rng.gen_range_usize(0, names.len() - 1)].clone();
+    let op = match rng.gen_range_usize(0, 3) {
+        2 if !names.is_empty() => {
+            let name = pick(rng);
+            DeltaOp::Admit(arb_task(rng, &name))
+        }
+        3 if names.len() >= 2 => {
+            let id = pick(rng);
+            let onto = loop {
+                let onto = pick(rng);
+                if onto != id {
+                    break onto;
+                }
+            };
+            DeltaOp::Replace {
+                id,
+                task: arb_task(rng, &onto),
+            }
+        }
+        1 => {
+            let name = fresh_name(next_id);
+            DeltaOp::Replace {
+                id: fresh_name(next_id),
+                task: arb_task(rng, &name),
+            }
+        }
+        _ => DeltaOp::Evict(fresh_name(next_id)),
+    };
+    ops.insert(at, op);
+}
+
+#[test]
+fn resolved_plans_match_sequential_replay_including_failures() {
+    let mut rng = Rng::seed_from_u64(0x91a0_0001);
+    let limits = AnalysisLimits::default();
+    let mut rejected = 0;
+    for case in 0..PLAN_CASES {
+        let mut next_id = 0usize;
+        let base = TaskSet::new(
+            (0..rng.gen_range_usize(0, 6))
+                .map(|_| {
+                    let name = fresh_name(&mut next_id);
+                    arb_task(&mut rng, &name)
+                })
+                .collect(),
+        );
+        let k = rng.gen_range_usize(1, 8);
+        let (mut ops, _) = arb_batch(&mut rng, Lane::Narrow, &mut next_id, &base, k);
+        let invalid = rng.gen_bool(0.5);
+        if invalid {
+            insert_invalid_op(&mut rng, &mut next_id, &base, &mut ops);
+        }
+        // The oracle: the ops one at a time, up to the first failure.
+        let mut expected = base.clone();
+        let oracle = ops.iter().try_for_each(|op| op.apply_to(&mut expected));
+        assert_eq!(oracle.is_err(), invalid, "case {case}: {ops:?}");
+        match (DeltaPlan::resolve(&base, ops.clone()), oracle) {
+            (Ok(plan), Ok(())) => {
+                let mut spliced = base.clone();
+                plan.splice_set(&mut spliced);
+                assert_eq!(spliced, expected, "case {case}: spliced set");
+                let mut delta = DeltaAnalysis::new(base, &limits);
+                delta.apply_plan(&plan);
+                assert_eq!(delta.set(), &expected, "case {case}: analysis set");
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got, want, "case {case}: first failing op");
+                rejected += 1;
+            }
+            (got, want) => panic!("case {case}: plan {got:?}, sequential replay {want:?}"),
+        }
+    }
+    assert!(rejected > 0, "no invalid batch was drawn");
+}
+
+#[test]
+fn a_plan_from_a_set_of_another_length_panics() {
+    let mut rng = Rng::seed_from_u64(0x91a0_0002);
+    let limits = AnalysisLimits::default();
+    let tasks: Vec<Task> = (0..3)
+        .map(|i| arb_task(&mut rng, &format!("t{i}")))
+        .collect();
+    let plan = DeltaPlan::resolve(
+        &TaskSet::new(tasks.clone()),
+        vec![DeltaOp::Evict("t0".into())],
+    )
+    .expect("t0 is present");
+    let other = TaskSet::new(tasks[..2].to_vec());
+    let message = |payload: Box<dyn std::any::Any + Send>| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    };
+    let mut delta = DeltaAnalysis::new(other.clone(), &limits);
+    let spliced = catch_unwind(AssertUnwindSafe(|| delta.apply_plan(&plan)));
+    assert!(
+        message(spliced.expect_err("a foreign plan must not splice")).contains("3 tasks"),
+        "the panic names the plan's base length"
+    );
+    let mut set = other;
+    let spliced = catch_unwind(AssertUnwindSafe(|| plan.splice_set(&mut set)));
+    assert!(
+        spliced.is_err(),
+        "a foreign plan must not splice a bare set"
+    );
 }

@@ -465,6 +465,35 @@ fn delta_requests_resolve_bases_and_share_the_report_cache() {
         "{unknown_task}"
     );
     assert!(unknown_task.contains("delta op rejected"), "{unknown_task}");
+    // The full error objects: an unknown evict, a duplicate admit, and a
+    // replace that fails only because an earlier op of the same request
+    // evicted its target.
+    let rejected = |response: &str, detail: &str| {
+        assert!(response.contains("\"cached\":false,"), "{response}");
+        let tail = format!("\"error\":{{\"kind\":\"parse\",\"detail\":\"{detail}\"}}}}");
+        assert!(response.trim_end().ends_with(&tail), "{response}");
+    };
+    rejected(
+        &unknown_task,
+        "delta op rejected: no task named `ghost` in the base set",
+    );
+    let duplicate = daemon.roundtrip(&format!(
+        "{{\"delta\":{{\"base\":\"{base_hash}\",\"ops\":[{{\"admit\":{}}}]}}}}",
+        admit_task_json().replace("\"name\":\"x\"", "\"name\":\"w\"")
+    ));
+    rejected(
+        &duplicate,
+        "delta op rejected: a task named `w` is already in the set",
+    );
+    let evicted_first = daemon.roundtrip(&format!(
+        "{{\"delta\":{{\"base\":\"{grown_hash}\",\"ops\":[{{\"evict\":\"x\"}},\
+         {{\"replace\":{{\"id\":\"x\",\"task\":{}}}}}]}}}}",
+        admit_task_json()
+    ));
+    rejected(
+        &evicted_first,
+        "delta op rejected: no task named `x` in the base set",
+    );
     let (success, stderr) = daemon.drain();
     assert!(success, "{stderr}");
     assert!(stderr.contains("patched="), "{stderr}");

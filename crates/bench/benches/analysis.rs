@@ -186,9 +186,10 @@ fn main() {
                 .reset_frontier(min_speed, &limits)
                 .expect("completes")
         });
-        let (frontier, _) = profile
+        let frontier = profile
             .reset_frontier(min_speed, &limits)
-            .expect("completes");
+            .expect("completes")
+            .expect("fast path");
         runner.bench(&format!("reset_frontier/lookup_sweep/{size}"), || {
             let mut fits = 0usize;
             for num in 8..40 {

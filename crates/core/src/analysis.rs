@@ -59,7 +59,7 @@ use crate::demand::{
 };
 use crate::kernel::WalkArena;
 use crate::qpa::qpa_decision;
-use crate::resetting::{ResettingAnalysis, ResettingBound};
+use crate::resetting::{serve_resetting_time, ResettingAnalysis, ResettingBound};
 use crate::speedup::SpeedupAnalysis;
 use crate::{AnalysisError, AnalysisLimits};
 
@@ -242,10 +242,11 @@ impl<'a> Analysis<'a> {
     }
 
     /// Applies `update` to the counters (the cell holds them by value).
-    fn tally(&self, update: impl FnOnce(&mut WalkCounts)) {
+    fn tally<R>(&self, update: impl FnOnce(&mut WalkCounts) -> R) -> R {
         let mut counts = self.counts.get();
-        update(&mut counts);
+        let result = update(&mut counts);
         self.counts.set(counts);
+        result
     }
 
     fn note_built(&self, components: usize) {
@@ -420,43 +421,32 @@ impl<'a> Analysis<'a> {
     /// first-fit walk.
     ///
     /// The first query above the arrival rate builds the full reset
-    /// frontier `s ↦ Δ_R(s)` in one walk and caches it; later queries it
-    /// covers are answered by threshold lookup with no walk at all
-    /// (counted in [`WalkCounts::avoided`]). Speeds at or below the
+    /// frontier `s ↦ Δ_R(s)` in one integer walk and caches it; later
+    /// queries it covers are answered by threshold lookup with no walk at
+    /// all (counted in [`WalkCounts::avoided`]). Speeds at or below the
     /// arrival rate take a plain first-fit walk instead: their fit can be
     /// `Never`, which the frontier does not encode. Strictly below the
     /// rate that walk ends at the envelope-floor horizon rather than a
     /// full hyperperiod (see [`DemandProfile::first_fit_traced`]), and
-    /// counts in [`WalkCounts::pruned`] when the cut skipped work.
+    /// counts in [`WalkCounts::pruned`] when the cut skipped work. An
+    /// arrival profile with no integer frontier (no fast path, or an
+    /// `i128` overflow in the build) caches nothing: every query on it
+    /// takes the plain first-fit walk and counts as a walk.
     ///
     /// # Errors
     ///
     /// As for [`crate::resetting::resetting_time`].
     pub fn resetting_time(&self, speed: Rational) -> Result<ResettingAnalysis, AnalysisError> {
         let profile = self.arrival_profile();
-        if speed > profile.rate() {
-            if let Some(fit) = self
-                .frontier
-                .borrow()
-                .as_ref()
-                .and_then(|frontier| frontier.lookup(speed))
-            {
-                self.tally(|c| c.avoided += 1);
-                return Ok(ResettingAnalysis::from_first_fit(fit, speed));
-            }
-            let (frontier, kind) = profile.reset_frontier(speed, &self.limits)?;
-            self.tally(|c| c.record(WalkTrace::solo(kind, false)));
-            let fit = frontier
-                .lookup(speed)
-                .expect("a frontier built for `speed` covers it");
-            *self.frontier.borrow_mut() = Some(frontier);
-            return Ok(ResettingAnalysis::from_first_fit(fit, speed));
-        }
-        let (fit, trace) = self
-            .arrival_profile()
-            .first_fit_traced(speed, &self.limits)?;
-        self.tally(|c| c.record(trace));
-        Ok(ResettingAnalysis::from_first_fit(fit, speed))
+        self.tally(|counts| {
+            serve_resetting_time(
+                profile,
+                &mut self.frontier.borrow_mut(),
+                speed,
+                &self.limits,
+                counts,
+            )
+        })
     }
 
     /// The smallest speed at which LO mode is EDF-schedulable (see

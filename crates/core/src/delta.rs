@@ -91,31 +91,6 @@ thread_local! {
     static MID_REPAIR_FAULT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Panics (once) if a mid-splice fault is armed on this thread — the
-/// injection point sits after the set mutation and the `DBF_LO` splice
-/// but before the `DBF_HI`/`ADB_HI` splices, the worst spot a real
-/// splice could bail: set and profiles disagree until the dirty guard
-/// heals them.
-fn mid_splice_fault_check() {
-    if MID_SPLICE_FAULT.with(std::cell::Cell::get) {
-        MID_SPLICE_FAULT.with(|flag| flag.set(false));
-        panic!("injected fault: delta bailed mid-splice");
-    }
-}
-
-/// Panics (once) if a mid-repair fault is armed on this thread — the
-/// injection point sits at the top of the frontier repair, after every
-/// profile splice has landed but before the dirty guard clears: the set
-/// and profiles already agree, yet an unwind here must still leave the
-/// context rebuildable (the heal rebuild discards the stale staircase,
-/// so the next resetting-time query simply re-walks).
-fn mid_repair_fault_check() {
-    if MID_REPAIR_FAULT.with(std::cell::Cell::get) {
-        MID_REPAIR_FAULT.with(|flag| flag.set(false));
-        panic!("injected fault: delta bailed mid-repair");
-    }
-}
-
 /// The earliest instant at which any of `changed` contributes demand —
 /// the truncation bound for a frontier repair ([`ResetFrontier`] keeps
 /// records whose segments end at or below it). `None` when no changed
@@ -540,21 +515,26 @@ impl DeltaAnalysis {
         self.counts
     }
 
-    /// Arms a one-shot fault on the calling thread: the next delta
-    /// ([`DeltaAnalysis::apply_batch`], single ops included) that splices
-    /// anything panics after the set mutation and the `DBF_LO` splice but
-    /// before the `DBF_HI`/`ADB_HI` splices. This is the fault-injection
-    /// hook behind the service's mid-splice poison pill; the dirty guard
+    /// Arms a one-shot fault on the calling thread for the next delta
+    /// ([`DeltaAnalysis::apply_plan`], single ops and batches included):
+    /// it panics after the set mutation and the `DBF_LO` splice but
+    /// before the `DBF_HI`/`ADB_HI` splices. That delta disarms the fault
+    /// even when it splices nothing, so it never fires on a later one.
+    /// This is the fault-injection hook behind the service's mid-splice
+    /// poison pill; the dirty guard
     /// must make the bailed context heal on its next use (an evict of a
     /// half-admitted task restores the original set bit-identically).
     pub fn arm_mid_splice_fault() {
         MID_SPLICE_FAULT.with(|flag| flag.set(true));
     }
 
-    /// Arms a one-shot fault on the calling thread: the next delta op
-    /// panics as it enters frontier repair — after all profile splices,
-    /// before the dirty guard clears. This is the fault-injection hook
-    /// behind the service's mid-repair poison pill; it proves a panic
+    /// Arms a one-shot fault on the calling thread for the next delta:
+    /// it panics as it enters frontier repair — after all profile
+    /// splices, before the dirty guard clears. That delta disarms the
+    /// fault even when it never reaches the repair (an empty plan, or a
+    /// mid-splice fault firing first), so it never fires on a later one.
+    /// This is the fault-injection hook behind the service's mid-repair
+    /// poison pill; it proves a panic
     /// inside the repair window leaves the context rebuildable and at
     /// worst costs the staircase (the next `Δ_R` query re-walks).
     pub fn arm_mid_repair_fault() {
@@ -610,6 +590,9 @@ impl DeltaAnalysis {
     /// from another set is a caller bug, and its positions must never be
     /// spliced here.
     pub fn apply_plan(&mut self, plan: &DeltaPlan) {
+        // Faults armed for this delta are consumed here, fired or not.
+        let splice_fault = MID_SPLICE_FAULT.take();
+        let repair_fault = MID_REPAIR_FAULT.take();
         plan.assert_base(&self.set);
         if plan.is_empty() {
             return;
@@ -697,7 +680,11 @@ impl DeltaAnalysis {
             .lo
             .splice_components(&lo_patched, &plan.removed, &lo_inserted);
         self.note_touched(Which::Lo, in_place, lo_changed);
-        mid_splice_fault_check();
+        // The worst spot a real splice could bail: set and profiles
+        // disagree until the dirty guard heals them.
+        if splice_fault {
+            panic!("injected fault: delta bailed mid-splice");
+        }
         if hi_untouched {
             self.note_untouched(Which::Hi);
             self.note_untouched(Which::Arrival);
@@ -711,6 +698,13 @@ impl DeltaAnalysis {
                 self.arrival
                     .splice_components(&arrival_patched, &hi_removed, &arrival_inserted);
             self.note_touched(Which::Arrival, in_place, hi_changed);
+        }
+        // Every splice has landed, but the dirty guard is still up: an
+        // unwind here must leave the context rebuildable (the heal
+        // rebuild discards the stale staircase, so the next
+        // resetting-time query simply re-walks).
+        if repair_fault {
+            panic!("injected fault: delta bailed mid-repair");
         }
         self.repair_frontier(cut);
         self.dirty = false;
@@ -860,7 +854,6 @@ impl DeltaAnalysis {
     /// argument), and a delta that never touches the arrival profile
     /// (`cut = None`, e.g. LO-task churn) keeps the staircase whole.
     fn repair_frontier(&mut self, cut: Option<Rational>) {
-        mid_repair_fault_check();
         let Some(frontier) = self.frontier.take() else {
             return;
         };

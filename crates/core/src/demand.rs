@@ -1089,8 +1089,8 @@ impl DemandProfile {
     }
 
     /// Builds the reset frontier — the full staircase `s ↦ first_fit(s)`
-    /// — in a single breakpoint walk, stopping as soon as `min_speed`
-    /// itself is served.
+    /// — in a single breakpoint walk on the integer fast path, stopping
+    /// as soon as `min_speed` itself is served.
     ///
     /// For `min_speed` at or above the rate the walk examines exactly the
     /// segments a plain [`DemandProfile::first_fit`] at `min_speed` would
@@ -1103,8 +1103,9 @@ impl DemandProfile {
     /// the staircase of faster speeds still below the rate, whose own
     /// horizons lie further out.
     ///
-    /// The returned [`WalkKind`] reports whether the integer fast path
-    /// built it.
+    /// Returns `None` when the profile has no fast path or the integer
+    /// build overflows `i128`; a plain [`DemandProfile::first_fit`] per
+    /// query (which falls back to the exact walk itself) answers then.
     ///
     /// # Errors
     ///
@@ -1115,78 +1116,14 @@ impl DemandProfile {
         &self,
         min_speed: Rational,
         limits: &AnalysisLimits,
-    ) -> Result<(ResetFrontier, WalkKind), AnalysisError> {
+    ) -> Result<Option<ResetFrontier>, AnalysisError> {
         if !min_speed.is_positive() {
             return Err(AnalysisError::NonPositiveSpeed);
         }
-        if let Some(scaled) = &self.scaled {
-            if let Some(frontier) = scaled.reset_frontier(min_speed, limits)? {
-                return Ok((frontier, WalkKind::Integer));
-            }
+        match &self.scaled {
+            Some(scaled) => scaled.reset_frontier(min_speed, limits),
+            None => Ok(None),
         }
-        self.reset_frontier_exact(min_speed, limits)
-            .map(|frontier| (frontier, WalkKind::Rational))
-    }
-
-    /// The exact rational construction behind
-    /// [`DemandProfile::reset_frontier`].
-    fn reset_frontier_exact(
-        &self,
-        min_speed: Rational,
-        limits: &AnalysisLimits,
-    ) -> Result<ResetFrontier, AnalysisError> {
-        let mut walk = IncrementalWalk::new(&self.components, limits.max_breakpoints());
-        if !walk.value.is_positive() {
-            return Ok(ResetFrontier::everything_fits_at_zero());
-        }
-        let rate = self.rate();
-        let hyperperiod = self.hyperperiod();
-        let mut builder = FrontierBuilder::new(min_speed);
-        let mut examined = 0usize;
-        loop {
-            if builder.serves_min_speed() {
-                break;
-            }
-            examined += 1;
-            limits.check_walk(examined)?;
-            let segment_start = walk.delta;
-            let value = walk.value;
-            let segment_end = walk
-                .peek_next()
-                .expect("periodic curves have unbounded breakpoints");
-            let slope = Rational::integer(i128::from(walk.slope));
-            // Closed threshold ψ: `s ≥ value/start` fits exactly at the
-            // segment start (absent for the Δ = 0 segment — its value is
-            // positive here, so no speed fits at 0).
-            let closed_at = segment_start.is_positive().then(|| value / segment_start);
-            // Open threshold θ: the crossing
-            // `(value − slope·start)/(s − slope)` lands strictly inside
-            // the segment iff `s > slope` and `s > φ_pre(end)` where
-            // `φ_pre(end) = (value + slope·(end − start))/end` is the
-            // pre-jump ratio at the segment's right end.
-            let phi_pre = (value + slope * (segment_end - segment_start)) / segment_end;
-            builder.push_segment(
-                segment_start,
-                value,
-                walk.slope,
-                closed_at,
-                phi_pre.max(slope),
-            );
-            if min_speed <= rate {
-                if let Some(hp) = hyperperiod {
-                    if segment_start > hp {
-                        // Mirrors first_fit's hyperperiod bail-out:
-                        // min_speed is unserved after a full hyperperiod
-                        // and can never be; the staircase above it is
-                        // complete. (Not its envelope-floor cut — see
-                        // `reset_frontier`.)
-                        break;
-                    }
-                }
-            }
-            walk.advance();
-        }
-        Ok(builder.finish())
     }
 
     /// The infimum of `eval(Δ)/Δ` over `(0, horizon]`, early-stopped once
@@ -1439,129 +1376,84 @@ impl FromIterator<PeriodicDemand> for DemandProfile {
 /// interval that lowered a serving threshold when the frontier was
 /// built, together with the data needed to reproduce
 /// [`DemandProfile::first_fit`]'s answer inside it.
+///
+/// Kept as raw integers on the fast path's common timebase `K`, with no
+/// reduced rationals built at record time. Nearly every walked segment
+/// lowers a serving threshold and is recorded, so the build defers all
+/// gcd-normalizing construction to the one record a lookup lands on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct FrontierRecord {
-    /// Segment start `Δₖ`.
-    start: Rational,
-    /// Post-jump demand value at `Δₖ`.
-    value: Rational,
-    /// Integer demand slope on `[Δₖ, Δₖ₊₁)`.
-    slope: i64,
-    /// Closed threshold `ψₖ = value/start`: any `s ≥ ψₖ` fits exactly at
-    /// `start`. Absent for the `Δ = 0` segment of a positive-at-zero
-    /// profile (nothing fits at zero).
-    closed_at: Option<Rational>,
-    /// Open threshold `θₖ = max(slope, φ_pre(end))`: any `s > θₖ`
-    /// (that fails the closed test) crosses demand strictly inside the
-    /// segment at `(value − slope·start)/(s − slope)`.
-    open_above: Rational,
-}
-
-impl FrontierRecord {
-    /// Whether this record serves `speed`, and if so the exact first-fit
-    /// instant — the same closed-then-crossing decision
-    /// [`DemandProfile::first_fit`] makes on this segment.
-    fn serve(&self, speed: Rational) -> Option<Rational> {
-        if self.closed_at.is_some_and(|psi| speed >= psi) {
-            return Some(self.start);
-        }
-        if speed > self.open_above {
-            let slope = Rational::integer(i128::from(self.slope));
-            return Some((self.value - slope * self.start) / (speed - slope));
-        }
-        None
-    }
-}
-
-/// A [`FrontierRecord`] kept on the integer fast path's common timebase:
-/// the same segment data as raw scaled integers, with no reduced
-/// rationals built at record time. Nearly every walked segment lowers a
-/// serving threshold and is recorded, so the integer build defers all
-/// gcd-normalizing construction to the one record a lookup actually
-/// lands on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ScaledFrontierRecord {
+pub(crate) struct FrontierRecord {
     /// Segment start `Δₖ·K` on the timebase `K`.
     pub(crate) start: i128,
     /// Post-jump demand `value·K` at the segment start.
     pub(crate) value: i128,
     /// Integer demand slope on the segment (scale-free).
     pub(crate) slope: i64,
-    /// Raw open threshold `max(φ_pre(end), slope)` as a fraction with a
-    /// positive denominator; the scale cancels in both candidates.
+    /// Raw open threshold `θₖ = max(φ_pre(end), slope)` as a fraction
+    /// with a positive denominator; the scale cancels in both
+    /// candidates. Any `s > θₖ` that fails the closed test crosses
+    /// demand strictly inside the segment.
     pub(crate) open_num: i128,
     /// Denominator of the raw open threshold.
     pub(crate) open_den: i128,
 }
 
-impl ScaledFrontierRecord {
-    /// The exact-representation record this scaled record denotes:
-    /// `Rational::new`'s canonical reduction cancels the scale, so every
-    /// field is bit-identical to what the exact rational build records.
-    fn to_exact(&self, scale: i128) -> FrontierRecord {
-        FrontierRecord {
-            start: Rational::new(self.start, scale),
-            value: Rational::new(self.value, scale),
-            slope: self.slope,
-            closed_at: (self.start > 0).then(|| Rational::new(self.value, self.start)),
-            open_above: Rational::new(self.open_num, self.open_den),
-        }
-    }
-
-    /// [`FrontierRecord::serve`] without materializing the record: the
-    /// threshold tests are raw cross-multiplies, and only a served
-    /// lookup builds its (reduced) answer. Falls back to the exact
-    /// record on `i128` overflow.
+impl FrontierRecord {
+    /// Whether this record serves `speed`, and if so the exact first-fit
+    /// instant — the same closed-then-crossing decision
+    /// [`DemandProfile::first_fit`] makes on this segment. The threshold
+    /// tests are raw cross-multiplies, and only a served lookup builds
+    /// its (reduced) answer; `Rational::new`'s canonical reduction
+    /// cancels the scale, so the answer is bit-identical to the walk's.
     fn serve(&self, scale: i128, speed: Rational) -> Option<Rational> {
-        // Closed test: speed ≥ value/start (absent when start = 0).
-        if self.start > 0 {
-            match cmp_raw(speed, self.value, self.start) {
-                Some(Ordering::Greater | Ordering::Equal) => {
-                    return Some(Rational::new(self.start, scale));
-                }
-                Some(Ordering::Less) => {}
-                None => return self.to_exact(scale).serve(speed),
-            }
+        // Closed test: speed ≥ ψₖ = value/start (absent for the Δ = 0
+        // segment of a positive-at-zero profile: nothing fits at zero).
+        if self.start > 0 && cmp_raw(speed, self.value, self.start) != Ordering::Less {
+            return Some(Rational::new(self.start, scale));
         }
-        // Crossing test: speed > max(φ_pre, slope), then the crossing
-        // (value − slope·start)/(speed − slope) with the scale folded
-        // into the denominator:
+        if cmp_raw(speed, self.open_num, self.open_den) != Ordering::Greater {
+            return None;
+        }
+        // The crossing (value − slope·start)/(speed − slope) with the
+        // scale folded into the denominator:
         // ((v' − m·Δ')/K)/((p − m·q)/q) = (v' − m·Δ')·q / (K·(p − m·q)).
-        match cmp_raw(speed, self.open_num, self.open_den) {
-            Some(Ordering::Greater) => {}
-            Some(_) => return None,
-            None => return self.to_exact(scale).serve(speed),
-        }
         let slope = i128::from(self.slope);
-        let exact = || self.to_exact(scale).serve(speed);
-        let Some(num) = slope
+        let num = slope
             .checked_mul(self.start)
             .and_then(|ms| self.value.checked_sub(ms))
-            .and_then(|a| a.checked_mul(speed.denom()))
-        else {
-            return exact();
-        };
-        let Some(den) = slope
+            .and_then(|a| a.checked_mul(speed.denom()));
+        let den = slope
             .checked_mul(speed.denom())
             .and_then(|mq| speed.numer().checked_sub(mq))
-            .and_then(|d| d.checked_mul(scale))
-        else {
-            return exact();
-        };
-        Some(Rational::new(num, den))
+            .and_then(|d| d.checked_mul(scale));
+        Some(match (num, den) {
+            (Some(num), Some(den)) => Rational::new(num, den),
+            // An overflowing raw product: the same crossing on reduced
+            // rationals.
+            _ => {
+                let slope = Rational::integer(slope);
+                (Rational::new(self.value, scale) - slope * Rational::new(self.start, scale))
+                    / (speed - slope)
+            }
+        })
     }
 }
 
-/// `speed.cmp(&(num/den))` by checked cross-multiplication (`den > 0`);
-/// `None` when a product overflows `i128`.
-fn cmp_raw(speed: Rational, num: i128, den: i128) -> Option<Ordering> {
-    let lhs = speed.numer().checked_mul(den)?;
-    let rhs = num.checked_mul(speed.denom())?;
-    Some(lhs.cmp(&rhs))
+/// `speed.cmp(&(num/den))` (`den > 0`) by cross-multiplication, or by
+/// the reduced comparison when a product overflows `i128`.
+fn cmp_raw(speed: Rational, num: i128, den: i128) -> Ordering {
+    match (
+        speed.numer().checked_mul(den),
+        num.checked_mul(speed.denom()),
+    ) {
+        (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
+        _ => speed.cmp(&Rational::new(num, den)),
+    }
 }
 
 /// The full non-increasing staircase `s ↦ Δ_R(s)` of a demand profile,
-/// built by one breakpoint walk ([`DemandProfile::reset_frontier`]).
+/// built by one integer breakpoint walk
+/// ([`DemandProfile::reset_frontier`]).
 ///
 /// Every speed at or above the `min_speed` the frontier was built for is
 /// covered; [`ResetFrontier::lookup`] then answers in time linear in the
@@ -1570,65 +1462,45 @@ fn cmp_raw(speed: Rational, num: i128, den: i128) -> Option<Ordering> {
 /// bit-identical to a fresh [`DemandProfile::first_fit`] walk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResetFrontier {
-    repr: FrontierRepr,
+    /// The common timebase every record's `start`/`value` is on.
+    scale: i128,
+    records: Vec<FrontierRecord>,
+    /// Running minimum of the closed thresholds as a raw fraction
+    /// (positive denominator): `s ≥ closed_cover` is served by some
+    /// record's closed test.
+    closed_cover: Option<(i128, i128)>,
+    /// Running minimum of the open thresholds: `s > open_cover` is
+    /// served by some record's crossing test.
+    open_cover: Option<(i128, i128)>,
     /// The profile's demand at `Δ = 0` is zero, so every positive speed
     /// fits instantly.
     fits_at_zero: bool,
-}
-
-/// The two record representations behind a [`ResetFrontier`]: reduced
-/// rationals from the exact build, or raw scaled integers from the
-/// integer fast path (whose lookups materialize rationals only for the
-/// record that serves). Both answer lookups bit-identically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum FrontierRepr {
-    Exact {
-        records: Vec<FrontierRecord>,
-        /// Running minimum of the closed thresholds: `s ≥ closed_cover`
-        /// is served by some record's closed test.
-        closed_cover: Option<Rational>,
-        /// Running minimum of the open thresholds: `s > open_cover` is
-        /// served by some record's crossing test.
-        open_cover: Option<Rational>,
-    },
-    Scaled {
-        /// The common timebase every record's `start`/`value` is on.
-        scale: i128,
-        records: Vec<ScaledFrontierRecord>,
-        /// As for the exact representation, but raw unreduced fractions
-        /// (positive denominators).
-        closed_cover: Option<(i128, i128)>,
-        open_cover: Option<(i128, i128)>,
-    },
 }
 
 impl ResetFrontier {
     /// The frontier of a profile with zero demand at `Δ = 0`.
     pub(crate) fn everything_fits_at_zero() -> ResetFrontier {
         ResetFrontier {
-            repr: FrontierRepr::Exact {
-                records: Vec::new(),
-                closed_cover: None,
-                open_cover: None,
-            },
+            scale: 1,
+            records: Vec::new(),
+            closed_cover: None,
+            open_cover: None,
             fits_at_zero: true,
         }
     }
 
     /// A frontier built by the integer fast path on timebase `scale`.
-    pub(crate) fn from_scaled(
+    pub(crate) fn new(
         scale: i128,
-        records: Vec<ScaledFrontierRecord>,
+        records: Vec<FrontierRecord>,
         closed_cover: Option<(i128, i128)>,
         open_cover: Option<(i128, i128)>,
     ) -> ResetFrontier {
         ResetFrontier {
-            repr: FrontierRepr::Scaled {
-                scale,
-                records,
-                closed_cover,
-                open_cover,
-            },
+            scale,
+            records,
+            closed_cover,
+            open_cover,
             fits_at_zero: false,
         }
     }
@@ -1638,38 +1510,14 @@ impl ResetFrontier {
     /// the build's `min_speed` is covered.
     #[must_use]
     pub fn covers(&self, speed: Rational) -> bool {
-        if !speed.is_positive() {
-            return false;
-        }
-        if self.fits_at_zero {
-            return true;
-        }
-        match &self.repr {
-            FrontierRepr::Exact {
-                closed_cover,
-                open_cover,
-                ..
-            } => {
-                closed_cover.is_some_and(|psi| speed >= psi)
-                    || open_cover.is_some_and(|theta| speed > theta)
-            }
-            FrontierRepr::Scaled {
-                closed_cover,
-                open_cover,
-                ..
-            } => {
-                closed_cover.is_some_and(|(num, den)| {
-                    match cmp_raw(speed, num, den) {
-                        Some(ord) => ord != Ordering::Less,
-                        // Overflowing cross-multiply: reduce and retry.
-                        None => speed >= Rational::new(num, den),
-                    }
-                }) || open_cover.is_some_and(|(num, den)| match cmp_raw(speed, num, den) {
-                    Some(ord) => ord == Ordering::Greater,
-                    None => speed > Rational::new(num, den),
-                })
-            }
-        }
+        speed.is_positive()
+            && (self.fits_at_zero
+                || self
+                    .closed_cover
+                    .is_some_and(|(num, den)| cmp_raw(speed, num, den) != Ordering::Less)
+                || self
+                    .open_cover
+                    .is_some_and(|(num, den)| cmp_raw(speed, num, den) == Ordering::Greater))
     }
 
     /// The exact first instant at which a supply of slope `speed` drains
@@ -1679,29 +1527,20 @@ impl ResetFrontier {
     /// needs a fresh walk; it may or may not fit).
     #[must_use]
     pub fn lookup(&self, speed: Rational) -> Option<FirstFit> {
-        if !speed.is_positive() {
+        if !self.covers(speed) {
             return None;
         }
         if self.fits_at_zero {
             return Some(FirstFit::At(Rational::ZERO));
         }
-        if !self.covers(speed) {
-            return None;
-        }
         // Records are in breakpoint order, so the first serving record is
         // the segment a plain walk would have stopped at: any earlier
         // segment that served `speed` would have lowered the same
         // threshold and been recorded itself.
-        match &self.repr {
-            FrontierRepr::Exact { records, .. } => records
-                .iter()
-                .find_map(|record| record.serve(speed))
-                .map(FirstFit::At),
-            FrontierRepr::Scaled { scale, records, .. } => records
-                .iter()
-                .find_map(|record| record.serve(*scale, speed))
-                .map(FirstFit::At),
-        }
+        self.records
+            .iter()
+            .find_map(|record| record.serve(self.scale, speed))
+            .map(FirstFit::At)
     }
 
     /// Repairs this frontier across a task-set delta whose removed and
@@ -1724,7 +1563,7 @@ impl ResetFrontier {
     /// stop at, and the coverage thresholds are refolded over the kept
     /// prefix (a covered speed is thus still served by a kept record).
     #[must_use]
-    pub(crate) fn truncated_below(self, cut: Option<Rational>) -> Option<ResetFrontier> {
+    pub(crate) fn truncated_below(mut self, cut: Option<Rational>) -> Option<ResetFrontier> {
         let Some(cut) = cut else {
             return Some(self);
         };
@@ -1734,162 +1573,50 @@ impl ResetFrontier {
             // instantly — but only when the cut is not itself at zero.
             return cut.is_positive().then_some(self);
         }
-        match self.repr {
-            FrontierRepr::Exact { records, .. } => {
-                let kept = records
-                    .iter()
-                    .skip(1)
-                    .take_while(|r| r.start <= cut)
-                    .count();
-                if kept == 0 {
-                    return None;
-                }
-                let mut records = records;
-                records.truncate(kept);
-                let closed_cover = records.iter().filter_map(|r| r.closed_at).min();
-                let open_cover = records.iter().map(|r| r.open_above).min();
-                Some(ResetFrontier {
-                    repr: FrontierRepr::Exact {
-                        records,
-                        closed_cover,
-                        open_cover,
-                    },
-                    fits_at_zero: false,
-                })
-            }
-            FrontierRepr::Scaled { scale, records, .. } => {
-                let kept = records
-                    .iter()
-                    .skip(1)
-                    .take_while(|r| Rational::new(r.start, scale) <= cut)
-                    .count();
-                if kept == 0 {
-                    return None;
-                }
-                let mut records = records;
-                records.truncate(kept);
-                // Raw running minima, exactly as the integer builder
-                // tracks them; an overflowing cross-multiply falls back
-                // to the reduced comparison (value-equal either way).
-                let raw_min = |acc: Option<(i128, i128)>, cand: (i128, i128)| match acc {
-                    None => Some(cand),
-                    Some(best) => {
-                        let cand_smaller =
-                            match cmp_raw(Rational::new(cand.0, cand.1), best.0, best.1) {
-                                Some(ord) => ord == Ordering::Less,
-                                None => {
-                                    Rational::new(cand.0, cand.1) < Rational::new(best.0, best.1)
-                                }
-                            };
-                        Some(if cand_smaller { cand } else { best })
-                    }
-                };
-                let closed_cover = records
-                    .iter()
-                    .filter(|r| r.start > 0)
-                    .map(|r| (r.value, r.start))
-                    .fold(None, raw_min);
-                let open_cover = records
-                    .iter()
-                    .map(|r| (r.open_num, r.open_den))
-                    .fold(None, raw_min);
-                Some(ResetFrontier {
-                    repr: FrontierRepr::Scaled {
-                        scale,
-                        records,
-                        closed_cover,
-                        open_cover,
-                    },
-                    fits_at_zero: false,
-                })
-            }
+        let kept = self
+            .records
+            .iter()
+            .skip(1)
+            .take_while(|r| Rational::new(r.start, self.scale) <= cut)
+            .count();
+        if kept == 0 {
+            return None;
         }
+        self.records.truncate(kept);
+        // Raw running minima, exactly as the integer builder tracks them.
+        let raw_min = |best: Option<(i128, i128)>, (num, den): (i128, i128)| match best {
+            Some((min_num, min_den))
+                if cmp_raw(Rational::new(num, den), min_num, min_den) != Ordering::Less =>
+            {
+                best
+            }
+            _ => Some((num, den)),
+        };
+        self.closed_cover = self
+            .records
+            .iter()
+            .filter(|r| r.start > 0)
+            .map(|r| (r.value, r.start))
+            .fold(None, raw_min);
+        self.open_cover = self
+            .records
+            .iter()
+            .map(|r| (r.open_num, r.open_den))
+            .fold(None, raw_min);
+        Some(self)
     }
 
     /// Number of recorded threshold-improving segments (diagnostics).
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.repr {
-            FrontierRepr::Exact { records, .. } => records.len(),
-            FrontierRepr::Scaled { records, .. } => records.len(),
-        }
+        self.records.len()
     }
 
     /// Whether the frontier holds no records (an empty or zero-at-zero
     /// profile, or a build that bailed before any segment).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Shared accumulation logic behind both the exact and the integer
-/// fast-path frontier builds: pushes exactly the segments that lower a
-/// serving threshold and tracks when the build's `min_speed` is served.
-pub(crate) struct FrontierBuilder {
-    min_speed: Rational,
-    records: Vec<FrontierRecord>,
-    closed_cover: Option<Rational>,
-    open_cover: Option<Rational>,
-}
-
-impl FrontierBuilder {
-    pub(crate) fn new(min_speed: Rational) -> FrontierBuilder {
-        FrontierBuilder {
-            min_speed,
-            records: Vec::new(),
-            closed_cover: None,
-            open_cover: None,
-        }
-    }
-
-    /// Whether the segments pushed so far already serve the build's
-    /// `min_speed` — the walk's stopping condition, equivalent to a plain
-    /// first-fit walk at `min_speed` having returned.
-    pub(crate) fn serves_min_speed(&self) -> bool {
-        self.closed_cover.is_some_and(|psi| self.min_speed >= psi)
-            || self.open_cover.is_some_and(|theta| self.min_speed > theta)
-    }
-
-    /// Considers one walk segment; records it iff it lowers the closed or
-    /// the open serving threshold.
-    pub(crate) fn push_segment(
-        &mut self,
-        start: Rational,
-        value: Rational,
-        slope: i64,
-        closed_at: Option<Rational>,
-        open_above: Rational,
-    ) {
-        let improves_closed =
-            closed_at.is_some_and(|psi| self.closed_cover.is_none_or(|cur| psi < cur));
-        let improves_open = self.open_cover.is_none_or(|cur| open_above < cur);
-        if improves_closed || improves_open {
-            self.records.push(FrontierRecord {
-                start,
-                value,
-                slope,
-                closed_at,
-                open_above,
-            });
-            if improves_closed {
-                self.closed_cover = closed_at;
-            }
-            if improves_open {
-                self.open_cover = Some(open_above);
-            }
-        }
-    }
-
-    pub(crate) fn finish(self) -> ResetFrontier {
-        ResetFrontier {
-            repr: FrontierRepr::Exact {
-                records: self.records,
-                closed_cover: self.closed_cover,
-                open_cover: self.open_cover,
-            },
-            fits_at_zero: false,
-        }
+        self.records.is_empty()
     }
 }
 

@@ -22,7 +22,8 @@ use rbs_model::TaskSet;
 use rbs_timebase::Rational;
 
 use crate::adb::hi_arrival_profile;
-use crate::demand::FirstFit;
+use crate::analysis::WalkCounts;
+use crate::demand::{DemandProfile, FirstFit, ResetFrontier, WalkKind, WalkTrace};
 use crate::{AnalysisError, AnalysisLimits};
 
 /// A bound on the service resetting time, possibly infinite.
@@ -141,25 +142,42 @@ pub fn resetting_time(
     ))
 }
 
-/// The full reset-time staircase `s ↦ Δ_R(s)` for every speed at or
-/// above `min_speed`, built by one breakpoint walk over the arrived
-/// demand profile. [`crate::demand::ResetFrontier::lookup`] then answers
-/// per-speed queries bit-identically to [`resetting_time`] without
-/// re-walking; [`crate::Analysis`] caches one per context.
+/// Corollary 5's resetting time at `speed` on the arrived-demand
+/// `profile`, served through the cached staircase `frontier` — the one
+/// serving policy behind [`crate::Analysis::resetting_time`] and
+/// [`crate::sweep::SweepAnalysis::resetting_time`].
 ///
-/// # Errors
-///
-/// * [`AnalysisError::NonPositiveSpeed`] if `min_speed ≤ 0`.
-/// * [`AnalysisError::BreakpointBudgetExhausted`] on pathological
-///   instances (see [`AnalysisLimits`]).
-pub fn reset_frontier(
-    set: &TaskSet,
-    min_speed: Rational,
+/// Above the rate, a speed the cached frontier covers is answered by
+/// lookup with no walk (counted in [`WalkCounts::avoided`]); an uncovered
+/// one builds the frontier at `speed`, which replaces the cached one.
+/// Speeds at or below the rate — whose fit can be `Never`, which the
+/// frontier does not encode — and profiles with no integer frontier
+/// ([`DemandProfile::reset_frontier`] gives `None`) take a plain
+/// first-fit walk. Every path is bit-identical to that walk.
+pub(crate) fn serve_resetting_time(
+    profile: &DemandProfile,
+    frontier: &mut Option<ResetFrontier>,
+    speed: Rational,
     limits: &AnalysisLimits,
-) -> Result<crate::demand::ResetFrontier, AnalysisError> {
-    let profile = hi_arrival_profile(set);
-    let (frontier, _) = profile.reset_frontier(min_speed, limits)?;
-    Ok(frontier)
+    counts: &mut WalkCounts,
+) -> Result<ResettingAnalysis, AnalysisError> {
+    if speed > profile.rate() {
+        if let Some(fit) = frontier.as_ref().and_then(|cached| cached.lookup(speed)) {
+            counts.avoided += 1;
+            return Ok(ResettingAnalysis::from_first_fit(fit, speed));
+        }
+        if let Some(built) = profile.reset_frontier(speed, limits)? {
+            counts.record(WalkTrace::solo(WalkKind::Integer, false));
+            let fit = built
+                .lookup(speed)
+                .expect("a frontier built for `speed` covers it");
+            *frontier = Some(built);
+            return Ok(ResettingAnalysis::from_first_fit(fit, speed));
+        }
+    }
+    let (fit, trace) = profile.first_fit_traced(speed, limits)?;
+    counts.record(trace);
+    Ok(ResettingAnalysis::from_first_fit(fit, speed))
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@
 
 use rbs_timebase::{lcm_i128, Rational};
 
-use crate::demand::{FirstFit, PeriodicDemand, ResetFrontier, ScaledFrontierRecord, SupRatio};
+use crate::demand::{FirstFit, FrontierRecord, PeriodicDemand, ResetFrontier, SupRatio};
 use crate::kernel::{KernelWalk, Lane, NarrowHeadroom};
 use crate::splice_buf::{post_edit_index, SpliceBuf};
 use crate::{AnalysisError, AnalysisLimits};
@@ -1244,17 +1244,14 @@ impl ScaledProfile {
         Ok(Some(Rational::new(bn, bd)))
     }
 
-    /// Integer fast path of [`crate::demand::DemandProfile::reset_frontier`].
-    ///
-    /// All recorded rationals are rebuilt through `Rational::new` (whose
-    /// canonical reduction cancels the scale), so the frontier is
-    /// field-for-field identical to the exact rational build's.
+    /// The build behind [`crate::demand::DemandProfile::reset_frontier`];
+    /// `Ok(None)` when `i128` arithmetic overflows.
     ///
     /// The caller must have rejected non-positive `min_speed` already.
     ///
     /// # Errors
     ///
-    /// Exactly the budget errors the exact build would report.
+    /// Exactly the budget errors a first-fit walk at `min_speed` reports.
     pub(crate) fn reset_frontier(
         &self,
         min_speed: Rational,
@@ -1287,15 +1284,13 @@ impl ScaledProfile {
         if walk.value <= L::default() {
             return Ok(Some(ResetFrontier::everything_fits_at_zero()));
         }
-        // Raw (unreduced) serving thresholds, mirroring the exact
-        // builder's reduced ones: every comparison is a checked
-        // cross-multiply against a positive denominator, which orders
-        // exactly as the reduced rationals do, so the recorded segments
-        // are precisely the exact build's choices. No reduced rational is
-        // built at all — nearly every walked segment improves a threshold
-        // on real profiles, so lookups materialize the one record that
-        // serves instead ([`ScaledFrontierRecord`]).
-        let mut records: Vec<ScaledFrontierRecord> = Vec::new();
+        // Raw (unreduced) serving thresholds: every comparison is a
+        // checked cross-multiply against a positive denominator, which
+        // orders exactly as the reduced rationals do. No reduced rational
+        // is built at all — nearly every walked segment improves a
+        // threshold on real profiles, so lookups materialize the one
+        // record that serves instead ([`FrontierRecord`]).
+        let mut records: Vec<FrontierRecord> = Vec::new();
         let mut closed_cover: Option<(L, L)> = None;
         let mut open_cover: Option<(L, L)> = None;
         // Loop-invariant parts of the hyperperiod bail-out.
@@ -1304,8 +1299,8 @@ impl ScaledProfile {
         let one = L::from_i64(1);
         let mut examined = 0usize;
         loop {
-            // The exact builder's `serves_min_speed` stopping rule:
-            // min_speed ≥ closed_cover, or min_speed > open_cover.
+            // Stop once min_speed itself is served: min_speed ≥
+            // closed_cover, or min_speed > open_cover.
             let closed_serves = match closed_cover {
                 None => false,
                 Some((num, den)) => ck!(speed_num.mul_widen(den)) >= ck!(num.mul_widen(speed_den)),
@@ -1349,7 +1344,7 @@ impl ScaledProfile {
                 Some((on, od)) => ck!(open_num.mul_widen(od)) < ck!(on.mul_widen(open_den)),
             };
             if improves_closed || improves_open {
-                records.push(ScaledFrontierRecord {
+                records.push(FrontierRecord {
                     start: segment_start.widen(),
                     value: value.widen(),
                     slope: walk.slope,
@@ -1373,7 +1368,7 @@ impl ScaledProfile {
             }
             ck!(walk.advance());
         }
-        Ok(Some(ResetFrontier::from_scaled(
+        Ok(Some(ResetFrontier::new(
             self.scale,
             records,
             closed_cover.map(|(n, d)| (n.widen(), d.widen())),

@@ -71,7 +71,7 @@ use crate::analysis::{AnalysisScratch, WalkCounts};
 use crate::demand::{
     fits_many, sup_ratio_many, DemandProfile, PeriodicDemand, ResetFrontier, SupRatio, WalkTrace,
 };
-use crate::resetting::ResettingAnalysis;
+use crate::resetting::{serve_resetting_time, ResettingAnalysis};
 use crate::scaled::ScaledProfile;
 use crate::speedup::SpeedupAnalysis;
 use crate::{AnalysisError, AnalysisLimits};
@@ -524,28 +524,20 @@ impl SweepAnalysis {
     /// above-rate query per grid point builds the full staircase, later
     /// covered speeds answer by lookup without walking. Below-rate
     /// speeds take the plain first-fit walk, ended early (and counted as
-    /// pruned) at the envelope-floor horizon.
+    /// pruned) at the envelope-floor horizon; so does every query on an
+    /// arrival profile with no integer frontier.
     ///
     /// # Errors
     ///
     /// As for [`crate::resetting::resetting_time`].
     pub fn resetting_time(&mut self, speed: Rational) -> Result<ResettingAnalysis, AnalysisError> {
-        if speed > self.arrival.rate() {
-            if let Some(fit) = self.frontier.as_ref().and_then(|f| f.lookup(speed)) {
-                self.counts.avoided += 1;
-                return Ok(ResettingAnalysis::from_first_fit(fit, speed));
-            }
-            let (frontier, kind) = self.arrival.reset_frontier(speed, &self.limits)?;
-            self.counts.record(WalkTrace::solo(kind, false));
-            let fit = frontier
-                .lookup(speed)
-                .expect("a frontier built for `speed` covers it");
-            self.frontier = Some(frontier);
-            return Ok(ResettingAnalysis::from_first_fit(fit, speed));
-        }
-        let (fit, trace) = self.arrival.first_fit_traced(speed, &self.limits)?;
-        self.counts.record(trace);
-        Ok(ResettingAnalysis::from_first_fit(fit, speed))
+        serve_resetting_time(
+            &self.arrival,
+            &mut self.frontier,
+            speed,
+            &self.limits,
+            &mut self.counts,
+        )
     }
 
     /// Whether LO mode meets all deadlines at nominal speed

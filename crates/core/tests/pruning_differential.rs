@@ -115,9 +115,10 @@ fn frontier_lookup_matches_plain_first_fit_above_the_rate() {
         // Build strictly above the long-run rate: coverage of every
         // speed at or above the build speed is then guaranteed.
         let min_speed = profile.rate() + rat(rng.gen_range_i128(1, 16), 8);
-        let (frontier, _) = profile
+        let frontier = profile
             .reset_frontier(min_speed, &limits)
-            .expect("completes");
+            .expect("completes")
+            .expect("fast path");
         for step in 0..6 {
             let speed = min_speed + rat(step, 4);
             let plain = profile.first_fit(speed, &limits).expect("completes");
@@ -145,9 +146,10 @@ fn frontier_lookups_below_the_build_speed_never_lie() {
     for case in 0..CASES {
         let profile = arb_profile(&mut rng, 4);
         let min_speed = profile.rate() + rat(1, 8);
-        let (frontier, _) = profile
+        let frontier = profile
             .reset_frontier(min_speed, &limits)
-            .expect("completes");
+            .expect("completes")
+            .expect("fast path");
         for num in 1..8 {
             let speed = min_speed * rat(num, 8);
             if let Some(fit) = frontier.lookup(speed) {
@@ -171,7 +173,10 @@ fn degenerate_profiles_agree() {
         empty.sup_ratio(&limits).expect("completes"),
         empty.sup_ratio_reference(&limits).expect("completes")
     );
-    let (frontier, _) = empty.reset_frontier(rat(1, 3), &limits).expect("completes");
+    let frontier = empty
+        .reset_frontier(rat(1, 3), &limits)
+        .expect("completes")
+        .expect("fast path");
     for speed in [rat(1, 3), int(1), int(50)] {
         assert_eq!(frontier.lookup(speed), Some(FirstFit::At(Rational::ZERO)));
         assert_eq!(
@@ -194,7 +199,10 @@ fn degenerate_profiles_agree() {
         bursty.sup_ratio(&limits).expect("completes"),
         bursty.sup_ratio_reference(&limits).expect("completes")
     );
-    let (frontier, _) = bursty.reset_frontier(int(1), &limits).expect("completes");
+    let frontier = bursty
+        .reset_frontier(int(1), &limits)
+        .expect("completes")
+        .expect("fast path");
     for speed in [int(1), int(2), int(7)] {
         assert_eq!(
             frontier.lookup(speed),
@@ -209,9 +217,10 @@ fn degenerate_profiles_agree() {
         single.sup_ratio(&limits).expect("completes"),
         single.sup_ratio_reference(&limits).expect("completes")
     );
-    let (frontier, _) = single
+    let frontier = single
         .reset_frontier(rat(1, 2), &limits)
-        .expect("completes");
+        .expect("completes")
+        .expect("fast path");
     for num in 1..12 {
         let speed = rat(num, 2);
         assert_eq!(

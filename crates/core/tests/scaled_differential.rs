@@ -4,8 +4,11 @@
 //! across random rational-timebase profiles, and the fallback must
 //! engage (with identical results) at the overflow boundary.
 
-use rbs_core::demand::{DemandProfile, PeriodicDemand, WalkKind};
-use rbs_core::{AnalysisError, AnalysisLimits};
+use rbs_core::adb::hi_arrival_profile;
+use rbs_core::demand::{DemandProfile, FirstFit, PeriodicDemand, WalkKind};
+use rbs_core::resetting::ResettingBound;
+use rbs_core::{Analysis, AnalysisError, AnalysisLimits, WalkCounts};
+use rbs_model::{Criticality, Task, TaskSet};
 use rbs_rng::Rng;
 use rbs_timebase::Rational;
 
@@ -47,6 +50,56 @@ fn arb_component(rng: &mut Rng) -> PeriodicDemand {
 fn arb_profile(rng: &mut Rng, max: usize) -> DemandProfile {
     let len = rng.gen_range_usize(1, max);
     DemandProfile::new((0..len).map(|_| arb_component(rng)).collect())
+}
+
+/// A HI task with `D(HI) = T` and the given `D(LO)`.
+fn hi_task(name: &str, period: Rational, deadline_lo: Rational, wcet: [Rational; 2]) -> Task {
+    Task::builder(name, Criticality::Hi)
+        .period(period)
+        .deadline_lo(deadline_lo)
+        .deadline_hi(period)
+        .wcet_lo(wcet[0])
+        .wcet_hi(wcet[1])
+        .build()
+        .expect("valid task")
+}
+
+/// `Δ_R` queries through an [`Analysis`] of `set`, whose arrival profile
+/// has no integer reset frontier at any of the `above`-rate speeds:
+/// every query — at each speed in `above`, at the rate and at `below` —
+/// answers exactly what the exact first-fit walk answers and counts as a
+/// walk, never as an avoided frontier lookup.
+fn resetting_times_walk_without_a_frontier(
+    set: &TaskSet,
+    above: &[Rational],
+    below: Rational,
+) -> WalkCounts {
+    let limits = AnalysisLimits::default();
+    let analysis = Analysis::new(set, &limits);
+    let profile = analysis.arrival_profile();
+    let rate = profile.rate();
+    assert!(below < rate);
+    for &speed in above {
+        assert!(speed > rate, "{speed} is not above the rate {rate}");
+        assert_eq!(
+            profile.reset_frontier(speed, &limits),
+            Ok(None),
+            "at {speed}"
+        );
+    }
+    let speeds: Vec<Rational> = above.iter().copied().chain([rate, below]).collect();
+    for &speed in &speeds {
+        let expected = match profile.first_fit_exact(speed, &limits).expect("completes") {
+            FirstFit::At(delta) => ResettingBound::Finite(delta),
+            FirstFit::Never => ResettingBound::Unbounded,
+        };
+        let served = analysis.resetting_time(speed).expect("completes");
+        assert_eq!(served.bound(), expected, "at {speed}");
+    }
+    let counts = analysis.walk_counts();
+    assert_eq!(counts.avoided, 0, "{counts:?}");
+    assert_eq!(counts.total(), speeds.len() as u64, "{counts:?}");
+    counts
 }
 
 #[test]
@@ -129,6 +182,18 @@ fn huge_denominators_fall_back_to_the_exact_walk() {
         fits,
         profile.fits_exact(int(1), &limits).expect("completes")
     );
+    // No fast path, so no reset frontier either.
+    assert_eq!(profile.reset_frontier(int(1), &limits), Ok(None));
+    // A task set whose arrival profile is refused the fast path the same
+    // way: the period's 2^66 denominator puts the scaled period and the
+    // scaled jump near 2^66 each, and their product overflows i128. Every
+    // Δ_R query then walks on the exact lane.
+    let den = 1i128 << 66;
+    let period = rat(den + 1, den);
+    let set = TaskSet::new(vec![hi_task("tau", period, period, [rat(1, 2), rat(3, 4)])]);
+    let counts =
+        resetting_times_walk_without_a_frontier(&set, &[int(1), rat(7, 8), int(1)], rat(1, 2));
+    assert_eq!(counts.exact, 5, "{counts:?}");
 }
 
 #[test]
@@ -155,6 +220,68 @@ fn mid_walk_overflow_bails_to_the_exact_walk() {
         "overflow must trigger fallback"
     );
     assert_eq!(sup, profile.sup_ratio_exact(&limits).expect("completes"));
+    // Its demand is zero at Δ = 0, so its (trivial) frontier never walks;
+    // a member of the same family — all-integer, on the fast path — that
+    // is positive at zero with values and instants near 2^62 overflows
+    // the frontier build's cross-multiplies at speed 1 instead. Every Δ_R
+    // query then takes a plain first-fit walk, the repeated one included.
+    assert!(profile
+        .reset_frontier(int(1), &limits)
+        .expect("completes")
+        .is_some());
+    let t = 1i128 << 62;
+    let set = TaskSet::new(vec![
+        hi_task("a", int(t), int(t / 2), [int(t / 4), int(t / 2)]),
+        hi_task("b", int(2 * t), int(t), [int(t / 2), int(t / 2 + 1)]),
+    ]);
+    assert!(hi_arrival_profile(&set).has_fast_path());
+    resetting_times_walk_without_a_frontier(&set, &[int(1), int(1)], rat(1, 2));
+}
+
+#[test]
+fn frontier_lookups_survive_overflowing_cross_multiplies() {
+    // Demand heights on a 2^-56 grid put the frontier's records on the
+    // timebase K = 2^56 (raw starts and values near 2^57–2^62), which
+    // the build's own cross-multiplies still fit. A lookup speed on a
+    // 2^-70 grid has a numerator near 2^72, so its closed test
+    // (speed vs value/start), its open test (speed vs the open
+    // threshold) and its raw crossing numerator all overflow i128; each
+    // must then answer exactly what the exact walk answers.
+    let e = rat(1, 1 << 56);
+    let profile = DemandProfile::new(vec![
+        PeriodicDemand::new(int(5), int(3) + e, int(2) + e, int(1), int(1) + e, int(2)),
+        PeriodicDemand::new(
+            int(7),
+            int(2) + e * int(3),
+            int(1),
+            int(0),
+            e * int(3),
+            int(2),
+        ),
+    ]);
+    assert!(profile.has_fast_path());
+    let limits = AnalysisLimits::default();
+    let frontier = profile
+        .reset_frontier(int(1), &limits)
+        .expect("completes")
+        .expect("the build fits i128");
+    assert!(frontier.len() > 1, "{frontier:?}");
+    let nudge = rat(1, 1 << 70);
+    let mut served = 0;
+    for num in 1..48 {
+        for speed in [rat(num, 8) + nudge, rat(num, 8) - nudge] {
+            let Some(fit) = frontier.lookup(speed) else {
+                continue;
+            };
+            served += 1;
+            assert_eq!(
+                fit,
+                profile.first_fit_exact(speed, &limits).expect("completes"),
+                "at {speed}"
+            );
+        }
+    }
+    assert!(served > 60, "{served} lookups served");
 }
 
 #[test]

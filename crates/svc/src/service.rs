@@ -795,12 +795,16 @@ impl Service {
                                 inject_faults(&base);
                                 for task in plan.incoming() {
                                     fault_for_name(task.name());
-                                    if task.name() == FAULT_SPLICE_TASK {
-                                        rbs_core::DeltaAnalysis::arm_mid_splice_fault();
-                                    }
-                                    if task.name() == FAULT_REPAIR_TASK {
-                                        rbs_core::DeltaAnalysis::arm_mid_repair_fault();
-                                    }
+                                }
+                                // Armed only once no marker above has
+                                // panicked: the delta's `apply_plan`
+                                // consumes both, so neither outlives it.
+                                let brings = |name| plan.incoming().any(|t| t.name() == name);
+                                if brings(FAULT_SPLICE_TASK) {
+                                    rbs_core::DeltaAnalysis::arm_mid_splice_fault();
+                                }
+                                if brings(FAULT_REPAIR_TASK) {
+                                    rbs_core::DeltaAnalysis::arm_mid_repair_fault();
                                 }
                             }
                             run_delta_in((*base).clone(), &plan, &limits, scratch)
@@ -1194,6 +1198,79 @@ mod tests {
         for response in &responses {
             assert!(response.outcome.error().is_none(), "{}", response.render());
         }
+    }
+
+    /// A delta that brings in both the splice and the repair marker arms
+    /// both faults; the splice fault fires first, and the repair fault
+    /// must die with that delta instead of firing on the next innocent
+    /// delta the same worker thread runs. Likewise a splice marker
+    /// admitted next to a worker-panic marker must not leave its fault
+    /// armed when the panic marker fires first.
+    #[test]
+    fn a_fault_dies_with_the_delta_it_was_armed_for() {
+        let service = Service::with_config(
+            WorkerPool::new(1),
+            ServiceConfig {
+                fault_injection: true,
+                ..ServiceConfig::default()
+            },
+        );
+        let task = |name: &str| {
+            format!(
+                "{{\"name\":\"{name}\",\"criticality\":\"Lo\",\"lo\":{{\
+                 \"period\":{{\"num\":4,\"den\":1}},\"deadline\":{{\"num\":4,\"den\":1}},\
+                 \"wcet\":{{\"num\":1,\"den\":1}}}},\"hi\":\"Terminated\"}}"
+            )
+        };
+        let delta = |ops: String| Request {
+            label: "delta".to_owned(),
+            body: format!("{{\"delta\":{{\"base\":[{}],\"ops\":[{ops}]}}}}", task("w")),
+        };
+        let (responses, _) = service.process_batch(&[
+            delta(format!(
+                "{{\"admit\":{}}},{{\"admit\":{}}}",
+                task(FAULT_SPLICE_TASK),
+                task(FAULT_REPAIR_TASK)
+            )),
+            delta(format!("{{\"admit\":{}}}", task("x"))),
+        ]);
+        let error = responses[0]
+            .outcome
+            .error()
+            .expect("the splice fault fires");
+        assert_eq!(error.kind, SvcErrorKind::Panic, "{}", responses[0].render());
+        assert!(
+            error.detail.contains("mid-splice"),
+            "{}",
+            responses[0].render()
+        );
+        assert!(
+            responses[1].outcome.error().is_none(),
+            "{}",
+            responses[1].render()
+        );
+        let (responses, _) = service.process_batch(&[
+            delta(format!(
+                "{{\"admit\":{}}},{{\"admit\":{}}}",
+                task(FAULT_SPLICE_TASK),
+                task(FAULT_PANIC_TASK)
+            )),
+            delta(format!("{{\"admit\":{}}}", task("y"))),
+        ]);
+        let error = responses[0]
+            .outcome
+            .error()
+            .expect("the panic marker fires");
+        assert!(
+            error.detail.contains(FAULT_PANIC_TASK),
+            "{}",
+            responses[0].render()
+        );
+        assert!(
+            responses[1].outcome.error().is_none(),
+            "{}",
+            responses[1].render()
+        );
     }
 
     #[test]

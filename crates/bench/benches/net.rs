@@ -6,11 +6,18 @@
 //! the front-end's own overhead: framing, the event loop, the
 //! dispatcher hop, response rendering, and two loopback socket
 //! traversals.
+//!
+//! `svc/render/{10,256,4096}` and `svc/canonicalize/{10,256,4096}` time
+//! two per-request layers of the service on `fleet_set(n, 1)`: rendering
+//! the set's `AnalyzeReport` (set echo included) with
+//! `rbs_json::to_string`, and computing its `CanonicalTaskSet` cache key.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use rbs_bench::harness::Runner;
+use rbs_core::{analyze, AnalysisLimits};
+use rbs_model::CanonicalTaskSet;
 use rbs_net::{NetConfig, Server};
 use rbs_svc::{Service, ServiceConfig, WorkerPool};
 
@@ -50,5 +57,16 @@ fn main() {
     drop(stream);
     drop(reader);
     server.shutdown().expect("drains");
+
+    for n in [10, 256, 4096] {
+        let set = rbs_bench::fleet_set(n, 1);
+        runner.bench(&format!("svc/canonicalize/{n}"), || {
+            CanonicalTaskSet::of(&set).content_hash()
+        });
+        let report = analyze(set, &AnalysisLimits::default()).expect("fleet sets analyze");
+        runner.bench(&format!("svc/render/{n}"), || {
+            rbs_json::to_string(&report).len()
+        });
+    }
     runner.finish();
 }

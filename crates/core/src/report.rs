@@ -254,11 +254,8 @@ fn query_parts(ctx: &Analysis) -> Result<ReportParts, AnalysisError> {
 }
 
 impl ToJson for SpeedupBound {
-    fn to_json(&self) -> Json {
-        match self {
-            SpeedupBound::Finite(v) => Json::Object(vec![("Finite".to_owned(), v.to_json())]),
-            SpeedupBound::Unbounded => Json::Str("Unbounded".to_owned()),
-        }
+    fn write_json(&self, out: &mut String) {
+        write_bound(self.as_finite(), out);
     }
 }
 
@@ -270,11 +267,8 @@ impl rbs_json::FromJson for SpeedupBound {
 }
 
 impl ToJson for ResettingBound {
-    fn to_json(&self) -> Json {
-        match self {
-            ResettingBound::Finite(v) => Json::Object(vec![("Finite".to_owned(), v.to_json())]),
-            ResettingBound::Unbounded => Json::Str("Unbounded".to_owned()),
-        }
+    fn write_json(&self, out: &mut String) {
+        write_bound(self.as_finite(), out);
     }
 }
 
@@ -282,6 +276,15 @@ impl rbs_json::FromJson for ResettingBound {
     fn from_json(value: &Json) -> Result<ResettingBound, JsonError> {
         bound_from_json(value, "ResettingBound")
             .map(|v| v.map_or(ResettingBound::Unbounded, ResettingBound::Finite))
+    }
+}
+
+/// Shared encoder for the two bound enums: `{"Finite": rational}` or
+/// `"Unbounded"`.
+fn write_bound(value: Option<Rational>, out: &mut String) {
+    match value {
+        Some(v) => rbs_json::object(out).field("Finite", &v).end(),
+        None => out.push_str("\"Unbounded\""),
     }
 }
 
@@ -377,32 +380,21 @@ pub struct SweepReport {
 }
 
 impl ToJson for SweepPoint {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("y".to_owned(), self.y.to_json()),
-            ("s_min".to_owned(), self.s_min.to_json()),
-            (
-                "resetting".to_owned(),
-                Json::Array(
-                    self.resetting
-                        .iter()
-                        .map(|(s, dr)| Json::Array(vec![s.to_json(), dr.to_json()]))
-                        .collect(),
-                ),
-            ),
-        ])
+    fn write_json(&self, out: &mut String) {
+        rbs_json::object(out)
+            .field("y", &self.y)
+            .field("s_min", &self.s_min)
+            .field("resetting", &self.resetting)
+            .end();
     }
 }
 
 impl ToJson for SweepReport {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("x".to_owned(), self.x.to_json()),
-            (
-                "points".to_owned(),
-                Json::Array(self.points.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, out: &mut String) {
+        rbs_json::object(out)
+            .field("x", &self.x)
+            .field("points", &self.points)
+            .end();
     }
 }
 
@@ -626,24 +618,16 @@ pub fn run_delta_in(
 }
 
 impl ToJson for AnalyzeReport {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("set".to_owned(), self.set.to_json()),
-            ("lo_schedulable".to_owned(), Json::Bool(self.lo_schedulable)),
-            ("lo_requirement".to_owned(), self.lo_requirement.to_json()),
-            ("s_min".to_owned(), self.s_min.to_json()),
-            ("witness".to_owned(), self.witness.to_json()),
-            (
-                "resetting_rows".to_owned(),
-                Json::Array(
-                    self.resetting_rows
-                        .iter()
-                        .map(|(s, dr)| Json::Array(vec![s.to_json(), dr.to_json()]))
-                        .collect(),
-                ),
-            ),
-            ("sized_speed".to_owned(), self.sized_speed.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        rbs_json::object(out)
+            .field("set", &self.set)
+            .field("lo_schedulable", &self.lo_schedulable)
+            .field("lo_requirement", &self.lo_requirement)
+            .field("s_min", &self.s_min)
+            .field("witness", &self.witness)
+            .field("resetting_rows", &self.resetting_rows)
+            .field("sized_speed", &self.sized_speed)
+            .end();
     }
 }
 

@@ -8,11 +8,17 @@
 //!   (the timebase `Rational` wire format is `{"num": i128, "den": i128}`,
 //!   which `f64` cannot represent faithfully).
 //! * [`parse`] — a recursive-descent parser over UTF-8 text.
-//! * [`Json::render`] — a compact writer with a stable field order, so two
-//!   renderings of equal values are byte-identical (the svc golden tests
-//!   rely on this).
-//! * [`ToJson`] / [`FromJson`] — conversion traits implemented by the model
-//!   and report types.
+//! * [`ToJson::write_json`] — the one encoder of every wire type: it
+//!   appends compact JSON (no whitespace, stable field order) straight into
+//!   a caller's buffer, so two renderings of equal values are
+//!   byte-identical and no intermediate tree is built. [`to_string`] and
+//!   [`Json::render`] go through it; [`ToJson::to_json`] re-parses its
+//!   bytes for the callers that want a tree.
+//! * [`write_str`], [`write_int`] and [`decimal`] — the escaper and the
+//!   allocation-free integer formatter the encoders share (the canonical
+//!   task-set keys use [`decimal`] too).
+//! * [`FromJson`] — the decoding trait implemented by the model and
+//!   request types.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -76,9 +82,25 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Types that render themselves into a [`Json`] value.
+/// Types with a JSON wire form.
+///
+/// [`ToJson::write_json`] is the type's one encoder; everything else —
+/// [`to_string`], [`Json::render`], [`ToJson::to_json`] — is derived from
+/// it, so a value's bytes cannot depend on the path that rendered it.
 pub trait ToJson {
-    fn to_json(&self) -> Json;
+    /// Appends the compact JSON form of `self` to `out`.
+    fn write_json(&self, out: &mut String);
+
+    /// The value as a [`Json`] tree, parsed back from
+    /// [`ToJson::write_json`]'s bytes (so it costs a render and a parse;
+    /// prefer [`to_string`] where text is what is wanted).
+    ///
+    /// # Panics
+    ///
+    /// If the encoder wrote something that is not one JSON document.
+    fn to_json(&self) -> Json {
+        parse(&to_string(self)).expect("ToJson::write_json writes one JSON document")
+    }
 }
 
 /// Types that can be reconstructed from a [`Json`] value.
@@ -139,45 +161,7 @@ impl Json {
 
     /// Render compactly (no whitespace), matching `serde_json::to_string`.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => {
-                let mut buf = itoa_buffer();
-                out.push_str(write_i128(*n, &mut buf));
-            }
-            Json::Float(x) => write_f64(*x, out),
-            Json::Str(s) => write_string(s, out),
-            Json::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Object(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(key, out);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
-        }
+        to_string(self)
     }
 }
 
@@ -187,17 +171,49 @@ impl fmt::Display for Json {
     }
 }
 
-fn itoa_buffer() -> [u8; 48] {
-    [0u8; 48]
+/// Bytes [`decimal`] needs for any `i128`: 39 digits and a sign.
+pub const DECIMAL_LEN: usize = 40;
+
+/// Writes `n` in decimal into the tail of `buf` and returns the digits
+/// (with a leading `-` when negative) — the one integer formatter of the
+/// wire and canonical encodings. It allocates nothing and does not go
+/// through `fmt`: values beyond `u64` shed 19-digit chunks with one
+/// `u128` division each, and the rest runs on `u64`.
+pub fn decimal(n: i128, buf: &mut [u8; DECIMAL_LEN]) -> &[u8] {
+    const CHUNK: u128 = 10_000_000_000_000_000_000;
+    let mut pos = DECIMAL_LEN;
+    let mut rest = n.unsigned_abs();
+    while rest > u128::from(u64::MAX) {
+        // Lossless: the remainder is below 10^19 < 2^64.
+        let mut chunk = (rest % CHUNK) as u64;
+        rest /= CHUNK;
+        for _ in 0..19 {
+            pos -= 1;
+            buf[pos] = b'0' + (chunk % 10) as u8;
+            chunk /= 10;
+        }
+    }
+    // Lossless: the loop above left `rest <= u64::MAX`.
+    let mut low = rest as u64;
+    loop {
+        pos -= 1;
+        buf[pos] = b'0' + (low % 10) as u8;
+        low /= 10;
+        if low == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        pos -= 1;
+        buf[pos] = b'-';
+    }
+    &buf[pos..]
 }
 
-fn write_i128(n: i128, buf: &mut [u8; 48]) -> &str {
-    // i128::MIN has 40 digits + sign; 48 bytes is comfortably enough.
-    use std::io::Write as _;
-    let mut cursor = std::io::Cursor::new(&mut buf[..]);
-    write!(cursor, "{n}").expect("i128 fits in buffer");
-    let len = cursor.position() as usize;
-    std::str::from_utf8(&buf[..len]).expect("ascii digits")
+/// Appends `n` in decimal (see [`decimal`]).
+pub fn write_int(n: i128, out: &mut String) {
+    let mut buf = [0; DECIMAL_LEN];
+    out.extend(decimal(n, &mut buf).iter().map(|&b| char::from(b)));
 }
 
 fn write_f64(x: f64, out: &mut String) {
@@ -215,24 +231,107 @@ fn write_f64(x: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string: `"` and `\` escaped, `\n`,
+/// `\r`, `\t`, `\b`, `\f` by name, every other control character as
+/// `\u00XX`, and everything else (non-ASCII included) verbatim. Runs of
+/// plain bytes are copied in one piece.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut plain = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = ESCAPE[usize::from(b)];
+        if escape == 0 {
+            continue;
+        }
+        // `b` is ASCII, so `i` and `i + 1` are character boundaries.
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        out.push('\\');
+        out.push(char::from(escape));
+        if escape == b'u' {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
+}
+
+/// Per byte: 0 when it is written verbatim, else the character that
+/// follows the backslash of its escape (`u` for the `\u00XX` form).
+const ESCAPE: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
+    }
+    table[0x08] = b'b';
+    table[0x0c] = b'f';
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table
+};
+
+/// Appends `items` as a JSON array.
+pub fn write_array<T: ToJson>(out: &mut String, items: impl IntoIterator<Item = T>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
+
+/// Starts streaming a JSON object into `out`: add members with
+/// [`ObjectWriter::field`], close it with [`ObjectWriter::end`].
+///
+/// ```
+/// let mut out = String::new();
+/// rbs_json::object(&mut out).field("num", &3i128).field("den", &2i128).end();
+/// assert_eq!(out, r#"{"num":3,"den":2}"#);
+/// ```
+pub fn object(out: &mut String) -> ObjectWriter<'_> {
+    out.push('{');
+    ObjectWriter { out, empty: true }
+}
+
+/// An open JSON object in a buffer; see [`object`].
+#[derive(Debug)]
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ObjectWriter<'_> {
+    /// Appends the member `"key":value`.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) -> &mut Self {
+        self.field_with(key, |out| value.write_json(out))
+    }
+
+    /// Appends the member `"key":…` whose value `write` appends.
+    pub fn field_with(&mut self, key: &str, write: impl FnOnce(&mut String)) -> &mut Self {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_str(key, self.out);
+        self.out.push(':');
+        write(self.out);
+        self
+    }
+
+    /// Closes the object.
+    pub fn end(&mut self) {
+        self.out.push('}');
+    }
 }
 
 /// Parse a complete JSON document; trailing whitespace is allowed, trailing
@@ -527,7 +626,27 @@ impl<'a> Parser<'a> {
 
 // --- blanket conversions for common shapes -------------------------------
 
+/// The tree renderer; [`Json::render`] and [`to_string`] of a tree come
+/// through here.
 impl ToJson for Json {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => b.write_json(out),
+            Json::Int(n) => write_int(*n, out),
+            Json::Float(x) => write_f64(*x, out),
+            Json::Str(s) => write_str(s, out),
+            Json::Array(items) => write_array(out, items),
+            Json::Object(fields) => {
+                let mut object = object(out);
+                for (key, value) in fields {
+                    object.field(key, value);
+                }
+                object.end();
+            }
+        }
+    }
+
     fn to_json(&self) -> Json {
         self.clone()
     }
@@ -539,9 +658,21 @@ impl FromJson for Json {
     }
 }
 
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_str(self, out);
+    }
+}
+
 impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
+    fn write_json(&self, out: &mut String) {
+        write_str(self, out);
     }
 }
 
@@ -555,8 +686,8 @@ impl FromJson for String {
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -569,8 +700,8 @@ impl FromJson for bool {
 }
 
 impl ToJson for i128 {
-    fn to_json(&self) -> Json {
-        Json::Int(*self)
+    fn write_json(&self, out: &mut String) {
+        write_int(*self, out);
     }
 }
 
@@ -583,26 +714,26 @@ impl FromJson for i128 {
 }
 
 impl ToJson for u64 {
-    fn to_json(&self) -> Json {
-        Json::Int(*self as i128)
+    fn write_json(&self, out: &mut String) {
+        write_int(i128::from(*self), out);
     }
 }
 
 impl ToJson for usize {
-    fn to_json(&self) -> Json {
-        Json::Int(*self as i128)
+    fn write_json(&self, out: &mut String) {
+        write_int(*self as i128, out);
     }
 }
 
 impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self)
+    fn write_json(&self, out: &mut String) {
+        write_f64(*self, out);
     }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self);
     }
 }
 
@@ -617,11 +748,22 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
+/// A pair is a two-element array, e.g. the `[s, Δ_R]` rows of reports.
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
+    }
+}
+
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -636,12 +778,12 @@ impl<T: FromJson> FromJson for Option<T> {
 }
 
 impl<K: fmt::Display, V: ToJson> ToJson for BTreeMap<K, V> {
-    fn to_json(&self) -> Json {
-        Json::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_json()))
-                .collect(),
-        )
+    fn write_json(&self, out: &mut String) {
+        let mut object = object(out);
+        for (key, value) in self {
+            object.field(&key.to_string(), value);
+        }
+        object.end();
     }
 }
 
@@ -651,9 +793,11 @@ pub fn from_str<T: FromJson>(input: &str) -> Result<T, JsonError> {
     T::from_json(&value)
 }
 
-/// Convenience: convert and render in one step.
-pub fn to_string<T: ToJson>(value: &T) -> String {
-    value.to_json().render()
+/// Renders `value` through its [`ToJson::write_json`] encoder.
+pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
+    out
 }
 
 #[cfg(test)]
@@ -794,5 +938,57 @@ mod tests {
         let value = Json::Str("\u{01}".into());
         assert_eq!(value.render(), "\"\\u0001\"");
         assert_eq!(parse(&value.render()).unwrap(), value);
+    }
+
+    #[test]
+    fn decimal_matches_display_across_the_i128_range() {
+        let mut values = vec![0, 1, -1, 9, 10, -10, i128::MAX, i128::MIN, -i128::MAX];
+        for edge in [
+            i128::from(i64::MAX),
+            i128::from(i64::MIN),
+            i128::from(u64::MAX),
+            10_000_000_000_000_000_000,
+            100_000_000_000_000_000_000_000_000_000_000_000_000,
+        ] {
+            values.extend([edge - 1, edge, edge + 1, -edge - 1, -edge, -edge + 1]);
+        }
+        let mut x: i128 = 1;
+        while let Some(next) = x.checked_mul(7) {
+            values.extend([x, -x, x + 3]);
+            x = next;
+        }
+        let mut buf = [0; DECIMAL_LEN];
+        for n in values {
+            assert_eq!(decimal(n, &mut buf), n.to_string().as_bytes(), "{n}");
+            let mut out = String::from("x");
+            write_int(n, &mut out);
+            assert_eq!(out, format!("x{n}"));
+        }
+    }
+
+    #[test]
+    fn object_writer_streams_members_in_order() {
+        let mut out = String::new();
+        object(&mut out).end();
+        assert_eq!(out, "{}");
+        out.clear();
+        let mut obj = object(&mut out);
+        obj.field("a\"b", "v").field("n", &Some(-3i128));
+        obj.field_with("raw", |out| out.push_str("[]"));
+        obj.field("row", &(true, None::<i128>)).end();
+        assert_eq!(out, r#"{"a\"b":"v","n":-3,"raw":[],"row":[true,null]}"#);
+    }
+
+    #[test]
+    fn to_json_is_the_parse_of_the_written_bytes() {
+        let value = vec![(String::from("t\u{1}"), 7u64)];
+        assert_eq!(
+            value.to_json(),
+            Json::Array(vec![Json::Array(vec![
+                Json::Str("t\u{1}".into()),
+                Json::Int(7)
+            ])])
+        );
+        assert_eq!(to_string(&value), r#"[["t\u0001",7]]"#);
     }
 }

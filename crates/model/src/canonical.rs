@@ -67,12 +67,8 @@ impl CanonicalTaskSet {
     /// Computes the canonical form of `set`.
     #[must_use]
     pub fn of(set: &TaskSet) -> CanonicalTaskSet {
-        let mut tasks: Vec<&Task> = set.iter().collect();
-        tasks.sort_by(|a, b| task_order(a, b));
-        let mut bytes = Vec::with_capacity(tasks.len() * 64);
-        for task in tasks {
-            encode_task(task, &mut bytes);
-        }
+        let mut bytes = Vec::with_capacity(set.len() * 64);
+        encode_tasks(set, &mut bytes);
         let hash = fnv1a64(&bytes);
         CanonicalTaskSet { bytes, hash }
     }
@@ -92,14 +88,11 @@ impl CanonicalTaskSet {
         speeds: &[Rational],
     ) -> CanonicalTaskSet {
         let mut sorted: Vec<&crate::ImplicitTaskSpec> = specs.iter().collect();
-        sorted.sort_by_key(|s| {
-            (
-                s.criticality(),
-                s.period(),
-                s.wcet_lo(),
-                s.wcet_hi(),
-                s.name().to_owned(),
-            )
+        sorted.sort_by(|a, b| {
+            let key = |s: &crate::ImplicitTaskSpec| {
+                (s.criticality(), s.period(), s.wcet_lo(), s.wcet_hi())
+            };
+            key(a).cmp(&key(b)).then_with(|| a.name().cmp(b.name()))
         });
         let mut bytes = Vec::with_capacity(sorted.len() * 48 + 64);
         bytes.extend_from_slice(b"sweep");
@@ -143,15 +136,11 @@ impl CanonicalTaskSet {
     /// identically.
     #[must_use]
     pub fn of_partition(set: &TaskSet, detail: &[u8]) -> CanonicalTaskSet {
-        let mut tasks: Vec<&Task> = set.iter().collect();
-        tasks.sort_by(|a, b| task_order(a, b));
-        let mut bytes = Vec::with_capacity(tasks.len() * 64 + detail.len() + 16);
+        let mut bytes = Vec::with_capacity(set.len() * 64 + detail.len() + 16);
         bytes.extend_from_slice(b"partition");
         bytes.extend_from_slice(detail);
         bytes.push(b'|');
-        for task in tasks {
-            encode_task(task, &mut bytes);
-        }
+        encode_tasks(set, &mut bytes);
         let hash = fnv1a64(&bytes);
         CanonicalTaskSet { bytes, hash }
     }
@@ -176,28 +165,37 @@ impl fmt::Display for CanonicalTaskSet {
     }
 }
 
-/// Total order over tasks by parameters first, name last, so that sets
-/// that differ only in declaration order canonicalize identically.
-fn task_order(a: &Task, b: &Task) -> std::cmp::Ordering {
-    let key = |t: &Task| {
-        (
-            t.criticality(),
-            t.lo().period(),
-            t.lo().deadline(),
-            t.lo().wcet(),
-        )
-    };
-    key(a)
-        .cmp(&key(b))
-        .then_with(|| hi_key(a).cmp(&hi_key(b)))
-        .then_with(|| a.name().cmp(b.name()))
+/// Encodes `set`'s tasks in a total order over their parameters first and
+/// their names last, so that sets that differ only in declaration order
+/// canonicalize identically. Each task's sort key is built once.
+fn encode_tasks(set: &TaskSet, out: &mut Vec<u8>) {
+    let keyed: Vec<(TaskKey<'_>, &Task)> = set.iter().map(|t| (task_key(t), t)).collect();
+    let mut order: Vec<&(TaskKey<'_>, &Task)> = keyed.iter().collect();
+    order.sort_by(|a, b| a.0.cmp(&b.0));
+    for (_, task) in order {
+        encode_task(task, out);
+    }
 }
 
-/// HI behavior as an orderable key; `None` (terminated) sorts first.
-fn hi_key(t: &Task) -> Option<(Rational, Rational, Rational)> {
-    t.hi_behavior()
-        .params()
-        .map(|p| (p.period(), p.deadline(), p.wcet()))
+/// Criticality, the LO triple, the HI triple (`None` — terminated — sorts
+/// first), then the name.
+type TaskKey<'a> = (
+    crate::Criticality,
+    [Rational; 3],
+    Option<[Rational; 3]>,
+    &'a str,
+);
+
+fn task_key(t: &Task) -> TaskKey<'_> {
+    let lo = t.lo();
+    (
+        t.criticality(),
+        [lo.period(), lo.deadline(), lo.wcet()],
+        t.hi_behavior()
+            .params()
+            .map(|p| [p.period(), p.deadline(), p.wcet()]),
+        t.name(),
+    )
 }
 
 fn encode_task(task: &Task, out: &mut Vec<u8>) {
@@ -228,12 +226,8 @@ fn encode_task(task: &Task, out: &mut Vec<u8>) {
 }
 
 fn encode_rational(r: Rational, out: &mut Vec<u8>) {
-    // Rational is reduced with den > 0 by construction, so the decimal
-    // num/den rendering is unique per value.
     out.push(b' ');
-    out.extend_from_slice(r.numer().to_string().as_bytes());
-    out.push(b'/');
-    out.extend_from_slice(r.denom().to_string().as_bytes());
+    r.write_canonical(out);
 }
 
 /// 64-bit FNV-1a.

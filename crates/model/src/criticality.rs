@@ -72,14 +72,11 @@ impl Mode {
 
 /// Wire format: the variant name as a string (`"Lo"` / `"Hi"`).
 impl ToJson for Criticality {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Criticality::Lo => "Lo",
-                Criticality::Hi => "Hi",
-            }
-            .to_owned(),
-        )
+    fn write_json(&self, out: &mut String) {
+        out.push_str(match self {
+            Criticality::Lo => "\"Lo\"",
+            Criticality::Hi => "\"Hi\"",
+        });
     }
 }
 
@@ -95,14 +92,11 @@ impl FromJson for Criticality {
 
 /// Wire format: the variant name as a string (`"Lo"` / `"Hi"`).
 impl ToJson for Mode {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Mode::Lo => "Lo",
-                Mode::Hi => "Hi",
-            }
-            .to_owned(),
-        )
+    fn write_json(&self, out: &mut String) {
+        out.push_str(match self {
+            Mode::Lo => "\"Lo\"",
+            Mode::Hi => "\"Hi\"",
+        });
     }
 }
 

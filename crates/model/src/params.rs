@@ -94,12 +94,12 @@ impl ModeParams {
 /// Wire format: `{"period": R, "deadline": R, "wcet": R}` with rationals as
 /// `{"num", "den"}` pairs.
 impl ToJson for ModeParams {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("period".to_owned(), self.period.to_json()),
-            ("deadline".to_owned(), self.deadline.to_json()),
-            ("wcet".to_owned(), self.wcet.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        rbs_json::object(out)
+            .field("period", &self.period)
+            .field("deadline", &self.deadline)
+            .field("wcet", &self.wcet)
+            .end();
     }
 }
 

@@ -119,14 +119,14 @@ impl ImplicitTaskSpec {
 
 /// Wire format: `{"name", "criticality", "period", "wcet_lo", "wcet_hi"}`.
 impl ToJson for ImplicitTaskSpec {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("name".to_owned(), Json::Str(self.name.clone())),
-            ("criticality".to_owned(), self.criticality.to_json()),
-            ("period".to_owned(), self.period.to_json()),
-            ("wcet_lo".to_owned(), self.wcet_lo.to_json()),
-            ("wcet_hi".to_owned(), self.wcet_hi.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        rbs_json::object(out)
+            .field("name", &self.name)
+            .field("criticality", &self.criticality)
+            .field("period", &self.period)
+            .field("wcet_lo", &self.wcet_lo)
+            .field("wcet_hi", &self.wcet_hi)
+            .end();
     }
 }
 
@@ -211,11 +211,11 @@ impl ScalingFactors {
 /// Wire format: `{"x": R, "y": R}`; the range constraints are re-validated
 /// on decode.
 impl ToJson for ScalingFactors {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("x".to_owned(), self.x.to_json()),
-            ("y".to_owned(), self.y.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        rbs_json::object(out)
+            .field("x", &self.x)
+            .field("y", &self.y)
+            .end();
     }
 }
 

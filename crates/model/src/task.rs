@@ -153,10 +153,10 @@ impl Task {
 /// Wire format: `{"Continue": ModeParams}` or the string `"Terminated"`
 /// (externally-tagged enum encoding).
 impl ToJson for HiBehavior {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, out: &mut String) {
         match self {
-            HiBehavior::Continue(p) => Json::Object(vec![("Continue".to_owned(), p.to_json())]),
-            HiBehavior::Terminated => Json::Str("Terminated".to_owned()),
+            HiBehavior::Continue(p) => rbs_json::object(out).field("Continue", p).end(),
+            HiBehavior::Terminated => out.push_str("\"Terminated\""),
         }
     }
 }
@@ -182,13 +182,13 @@ impl FromJson for HiBehavior {
 /// satisfies the model constraints (eqs. (1)–(3)); invalid parameter
 /// combinations are reported as [`JsonError`]s.
 impl ToJson for Task {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("name".to_owned(), Json::Str(self.name.clone())),
-            ("criticality".to_owned(), self.criticality.to_json()),
-            ("lo".to_owned(), self.lo.to_json()),
-            ("hi".to_owned(), self.hi.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        rbs_json::object(out)
+            .field("name", &self.name)
+            .field("criticality", &self.criticality)
+            .field("lo", &self.lo)
+            .field("hi", &self.hi)
+            .end();
     }
 }
 

@@ -61,8 +61,8 @@ impl Eq for TaskSet {}
 
 /// Wire format: a bare JSON array of tasks (transparent wrapper).
 impl ToJson for TaskSet {
-    fn to_json(&self) -> Json {
-        Json::Array(self.tasks.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, out: &mut String) {
+        rbs_json::write_array(out, &self.tasks);
     }
 }
 

@@ -12,6 +12,7 @@
 //!                "objective": {"shared_budget": {"num": 5, "den": 1}}}}
 //! ```
 
+use rbs_core::speedup::SpeedupBound;
 use rbs_json::{FromJson, Json, JsonError, ToJson};
 use rbs_model::{Task, TaskSet};
 use rbs_timebase::Rational;
@@ -95,9 +96,10 @@ impl PartitionSpec {
         let cap = self.cap();
         let mut detail = Vec::with_capacity(64);
         detail.extend_from_slice(b"cores ");
-        detail.extend_from_slice(cap.cores().to_string().as_bytes());
+        let mut digits = [0; rbs_json::DECIMAL_LEN];
+        detail.extend_from_slice(rbs_json::decimal(cap.cores() as i128, &mut digits));
         detail.extend_from_slice(b"|cap ");
-        push_rational(&mut detail, cap.max_speedup());
+        cap.max_speedup().write_canonical(&mut detail);
         detail.extend_from_slice(b"|h ");
         detail.extend_from_slice(match self.heuristic() {
             Heuristic::FirstFit => b"ff".as_slice(),
@@ -110,56 +112,48 @@ impl PartitionSpec {
             Objective::MinMaxSpeedup => detail.extend_from_slice(b"minmax"),
             Objective::SharedBudget(budget) => {
                 detail.extend_from_slice(b"budget ");
-                push_rational(&mut detail, budget);
+                budget.write_canonical(&mut detail);
             }
         }
         detail
     }
 }
 
-fn push_rational(detail: &mut Vec<u8>, value: Rational) {
-    detail.extend_from_slice(value.numer().to_string().as_bytes());
-    detail.push(b'/');
-    detail.extend_from_slice(value.denom().to_string().as_bytes());
-}
-
 impl ToJson for PartitionOutcome {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![("fits".to_owned(), Json::Bool(self.is_fit()))];
+    fn write_json(&self, out: &mut String) {
+        let mut object = rbs_json::object(out);
+        object.field("fits", &self.is_fit());
         if let Some(partition) = self.partition() {
-            let cores: Vec<Json> = partition
-                .cores()
-                .iter()
-                .zip(partition.core_speedups())
-                .map(|(core, bound)| {
-                    Json::Object(vec![
-                        (
-                            "tasks".to_owned(),
-                            Json::Array(
-                                core.iter()
-                                    .map(|t| Json::Str(t.name().to_owned()))
-                                    .collect(),
-                            ),
-                        ),
-                        ("s_min".to_owned(), bound.to_json()),
-                    ])
-                })
-                .collect();
-            fields.push(("cores".to_owned(), Json::Array(cores)));
-            fields.push((
-                "max_s_min".to_owned(),
-                partition.max_core_speedup().to_json(),
-            ));
+            object.field_with("cores", |out| {
+                let cores = partition.cores().iter().zip(partition.core_speedups());
+                rbs_json::write_array(out, cores.map(|(core, s_min)| CoreJson { core, s_min }));
+            });
+            object.field("max_s_min", &partition.max_core_speedup());
         }
         if let Some(name) = self.unplaced() {
-            fields.push(("unplaced".to_owned(), Json::Str(name.to_owned())));
+            object.field("unplaced", name);
         }
-        fields.push(("probes".to_owned(), Json::Int(i128::from(self.probes()))));
-        fields.push((
-            "screened".to_owned(),
-            Json::Int(i128::from(self.screened())),
-        ));
-        Json::Object(fields)
+        object
+            .field("probes", &self.probes())
+            .field("screened", &self.screened())
+            .end();
+    }
+}
+
+/// One core of a placement: its task names and its exact `s_min`.
+struct CoreJson<'a> {
+    core: &'a TaskSet,
+    s_min: &'a SpeedupBound,
+}
+
+impl ToJson for CoreJson<'_> {
+    fn write_json(&self, out: &mut String) {
+        rbs_json::object(out)
+            .field_with("tasks", |out| {
+                rbs_json::write_array(out, self.core.iter().map(Task::name));
+            })
+            .field("s_min", self.s_min)
+            .end();
     }
 }
 

@@ -150,11 +150,16 @@ impl SvcError {
     /// Renders the `{"kind":...,"detail":...}` JSON object.
     #[must_use]
     pub fn render(&self) -> String {
-        format!(
-            "{{\"kind\":\"{}\",\"detail\":{}}}",
-            self.kind.as_str(),
-            Json::Str(self.detail.clone()).render()
-        )
+        rbs_json::to_string(self)
+    }
+}
+
+impl ToJson for SvcError {
+    fn write_json(&self, out: &mut String) {
+        rbs_json::object(out)
+            .field("kind", self.kind.as_str())
+            .field("detail", &self.detail)
+            .end();
     }
 }
 
@@ -380,13 +385,19 @@ impl Response {
                 let _ = write!(line, ",\"report\":{report_json}}}");
                 line
             }
-            Outcome::Error { error, cached } => format!(
-                "{{\"seq\":{},\"source\":{},\"cached\":{cached},\"micros\":{},\"error\":{}}}",
-                self.seq,
-                Json::Str(self.label.clone()).render(),
-                self.micros,
-                error.render()
-            ),
+            Outcome::Error { error, cached } => {
+                let mut line = String::with_capacity(self.label.len() + error.detail.len() + 96);
+                let _ = write!(line, "{{\"seq\":{},\"source\":", self.seq);
+                rbs_json::write_str(&self.label, &mut line);
+                let _ = write!(
+                    line,
+                    ",\"cached\":{cached},\"micros\":{},\"error\":",
+                    self.micros
+                );
+                error.write_json(&mut line);
+                line.push('}');
+                line
+            }
         }
     }
 }
@@ -837,9 +848,7 @@ impl Service {
                             // oversubscribing it (the outcome is pool-width
                             // independent either way).
                             rbs_partition::partition_with(&set, &spec, &WorkerPool::new(1), &limits)
-                                .map(|outcome| {
-                                    (rbs_json::to_string(&outcome.to_json()), outcome.walks())
-                                })
+                                .map(|outcome| (rbs_json::to_string(&outcome), outcome.walks()))
                                 .map_err(|error| SvcError::from_analysis(&error))
                         }
                     };

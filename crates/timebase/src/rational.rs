@@ -45,11 +45,14 @@ pub struct Rational {
 /// Wire format: `{"num": i128, "den": i128}`. Unreduced input is normalized,
 /// a zero denominator is rejected.
 impl ToJson for Rational {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("num".to_owned(), Json::Int(self.num)),
-            ("den".to_owned(), Json::Int(self.den)),
-        ])
+    fn write_json(&self, out: &mut String) {
+        // The most frequent object on the wire (several per task), so its
+        // constant keys are written as literals rather than escaped.
+        out.push_str("{\"num\":");
+        rbs_json::write_int(self.num, out);
+        out.push_str(",\"den\":");
+        rbs_json::write_int(self.den, out);
+        out.push('}');
     }
 }
 
@@ -144,6 +147,17 @@ impl Rational {
     #[must_use]
     pub const fn denom(&self) -> i128 {
         self.den
+    }
+
+    /// Appends `num/den` in decimal (denominator always written): the
+    /// byte form canonical cache keys spell this value with. The fraction
+    /// is reduced with a positive denominator, so the bytes are unique
+    /// per value.
+    pub fn write_canonical(self, out: &mut Vec<u8>) {
+        let mut buf = [0; rbs_json::DECIMAL_LEN];
+        out.extend_from_slice(rbs_json::decimal(self.num, &mut buf));
+        out.push(b'/');
+        out.extend_from_slice(rbs_json::decimal(self.den, &mut buf));
     }
 
     /// Returns `true` if the value is zero.
@@ -477,6 +491,10 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
+        // Equal (positive) denominators order like their numerators.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // Fast path: cross multiplication in i128 when it cannot overflow.
         match (
             self.num.checked_mul(other.den),
